@@ -17,7 +17,13 @@ from repro.check import gen
 from repro.check.corpus import entry_for_wire
 from repro.check.mutate import mutate
 from repro.ecode import compile_procedure, interpret_procedure
-from repro.errors import ECodeError, ReproError
+from repro.errors import (
+    ECodeError,
+    NoMatchError,
+    ReproError,
+    TransformError,
+    UnknownFormatError,
+)
 from repro.echo.protocol import (
     RESPONSE_V0,
     RESPONSE_V1,
@@ -27,6 +33,7 @@ from repro.echo.protocol import (
 )
 from repro.morph.receiver import MorphReceiver
 from repro.morph.transform import Transformation
+from repro.net.batch import pack_batch
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
 from repro.obs.metrics import Registry
@@ -321,13 +328,20 @@ def check_fusion_wires(
     """The core fusion invariant, shared with corpus replay: every wire
     through a ``use_fusion=True`` receiver and a ``use_fusion=False``
     receiver must end in the same outcome class (same exception type when
-    rejecting), deliver equal records, and leave equal stats snapshots."""
+    rejecting), deliver equal records, and leave equal stats snapshots.
+
+    A third arm sends the same wires as one BATCH1 frame through a
+    ``contain_failures=True`` receiver: each message must deliver the
+    per-message arm's record, or dead-letter exactly where that arm
+    raised, under the stage its exception class names."""
     fused_rx = MorphReceiver(registry, use_fusion=True)
     staged_rx = MorphReceiver(registry, use_fusion=False)
     fused_out: List[Record] = []
     staged_out: List[Record] = []
     fused_rx.register_handler(handler_fmt, fused_out.append)
     staged_rx.register_handler(handler_fmt, staged_out.append)
+    #: per wire: the fused arm's delivered record, or what it raised
+    per_message: List[Any] = []
 
     findings: List[Finding] = []
 
@@ -341,8 +355,12 @@ def check_fusion_wires(
         findings.append(Finding(oracle="fusion", detail=detail, entry=entry))
 
     for index, wire in enumerate(wires):
+        delivered = len(fused_out)
         fused_kind, fused_val = _outcome(lambda: fused_rx.process(wire))
         staged_kind, staged_val = _outcome(lambda: staged_rx.process(wire))
+        per_message.append(
+            fused_out[-1] if len(fused_out) > delivered else fused_val
+        )
         for path, kind, val in (
             ("fused", fused_kind, fused_val),
             ("staged", staged_kind, staged_val),
@@ -373,7 +391,57 @@ def check_fusion_wires(
     if fused_rx.stats.snapshot() != staged_rx.stats.snapshot():
         flag(f"stats divergence: fused={fused_rx.stats.snapshot()} "
              f"staged={staged_rx.stats.snapshot()}")
+    if wires:
+        _check_contained_batch(registry, handler_fmt, wires, per_message, flag)
     return findings
+
+
+#: the stage a containing receiver files each error class under (any
+#: other pipeline failure is a "decode" failure)
+_DEAD_LETTER_STAGES = {
+    UnknownFormatError: "unknown_format",
+    NoMatchError: "no_match",
+    TransformError: "transform",
+}
+
+
+def _check_contained_batch(
+    registry: FormatRegistry,
+    handler_fmt,
+    wires: List[bytes],
+    per_message: List[Any],
+    flag: Callable[[str], None],
+) -> None:
+    """The fusion oracle's batch arm: *wires* as one BATCH1 frame through
+    a containing receiver must match *per_message* outcome by outcome."""
+    # a quarantine would drop a format mid-frame: keep parity per message
+    receiver = MorphReceiver(
+        registry, contain_failures=True, dlq_limit=len(wires),
+        quarantine_threshold=len(wires) + 1,
+    )
+    receiver.register_handler(handler_fmt, lambda record: record)
+    kind, results = _outcome(lambda: receiver.process_batch(pack_batch(wires)))
+    if kind != "ok":
+        flag(f"contained batch arm raised {results!r}")
+        return
+    letters = iter(receiver.dead_letters)
+    for index, (expected, got) in enumerate(zip(per_message, results)):
+        if not isinstance(expected, BaseException):
+            if got is None or not records_equal(got, expected):
+                flag(f"batch arm wire {index}: delivered record diverges "
+                     f"from the per-message arm")
+            continue
+        stage = _DEAD_LETTER_STAGES.get(type(expected), "decode")
+        letter = next(letters, None)
+        if got is not None or letter is None or (
+            (letter.stage, letter.data) != (stage, wires[index])
+        ):
+            flag(f"batch arm wire {index}: per-message arm raised "
+                 f"{expected!r}, expected a {stage!r} dead letter, got "
+                 f"{letter!r}")
+    if next(letters, None) is not None:
+        flag("batch arm dead-lettered more messages than the per-message "
+             "arm rejected")
 
 
 def check_fusion(rng: random.Random, messages: int = 5) -> List[Finding]:

@@ -39,8 +39,9 @@ BUDGET_SPLIT = {
 #: weigh it so `--budget` approximates total work, not loop iterations.
 _MORPH_CASE_WEIGHT = 10
 
-#: Each fusion case pushes a multi-message stream through two receivers
-#: (one of which compiles a route); same weighting rationale.
+#: Each fusion case pushes a multi-message stream through three
+#: receivers (fused, staged, and one contained BATCH1 frame); same
+#: weighting rationale.
 _FUSION_CASE_WEIGHT = 5
 
 #: Each reliability case stands up a whole middleware deployment (format

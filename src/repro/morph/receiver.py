@@ -65,13 +65,7 @@ from repro.morph.maxmatch import (
 from repro.morph.fusion import FusedRoute, plan_fusion
 from repro.morph.transform import TransformChain, Transformation, build_chain
 from repro.obs.tracectx import activate
-from repro.pbio.buffer import (
-    FLAG_BIG_ENDIAN,
-    HEADER_SIZE,
-    peek_trace,
-    unpack_header,
-)
-from repro.pbio.codegen import make_checked_payload_decoder
+from repro.pbio.buffer import FLAG_BIG_ENDIAN, MessageHeader, unpack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
 from repro.pbio.projection import ProjectionFormat, widen_record
@@ -124,9 +118,14 @@ class ReceiverStats:
         )
 
     def inc(self, name: str, amount: int = 1) -> None:
-        self._counters[name].inc(amount)
-        if OBS.enabled:
-            OBS.metrics.counter(f"morph.receiver.{name}").inc(amount)
+        self.add({name: amount})
+
+    def add(self, counts: Dict[str, int]) -> None:
+        """Add *counts* (counter name -> increment) in one call."""
+        for name, amount in counts.items():
+            self._counters[name].inc(amount)
+            if OBS.enabled:
+                OBS.metrics.counter(f"morph.receiver.{name}").inc(amount)
 
     def observe_mismatch(self, ratio: float) -> None:
         """Record one MaxMatch decision's mismatch ratio."""
@@ -165,6 +164,37 @@ for _name in STAT_COUNTERS:
 del _name
 
 
+#: The segment list of a frame of one: a single message spanning the
+#: whole buffer (length -1).
+_WHOLE_BUFFER = ((0, -1),)
+
+#: Dead-letter stage by exception class; any other failure is a
+#: ``decode`` failure, or a ``dispatch`` one once the handler was entered.
+_FAILURE_STAGES = (
+    (UnknownFormatError, "unknown_format"),
+    (NoMatchError, "no_match"),
+    (TransformError, "transform"),
+)
+
+
+class _Frame:
+    """State of one pass of the receive loop: the per-message counters it
+    flushes when it ends, and the stage of the segment in flight, which
+    containment reads to classify a failure.  It lives on the call
+    stack, so a handler re-entering its own receiver, or another thread,
+    cannot change how this pass attributes a failure.
+
+    Counters start at zero on the class, and ``stage`` lives in a slot,
+    so the instance dict holds exactly the counters a pass moved — what
+    it flushes.  Route planning updates ``compiled_chains`` and
+    ``broken_transforms`` itself, as it runs."""
+
+    __slots__ = ("stage", "__dict__")
+
+    messages = cache_hits = cache_misses = perfect_matches = 0
+    morphed = reconciled = rejected = 0
+
+
 @dataclass
 class DeadLetter:
     """One message the receiver could not process, parked for forensics
@@ -175,17 +205,11 @@ class DeadLetter:
     Systems* stance made concrete: unconvertible data is an inspectable
     state, not a crash."""
 
-    data: bytes
+    data: bytes = field(repr=False)
     format_id: Optional[int]
     stage: str  # "decode" | "unknown_format" | "transform" | "no_match" | "dispatch"
     error: str
     attempts: int = 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DeadLetter(stage={self.stage!r}, format_id={self.format_id}, "
-            f"attempts={self.attempts}, error={self.error!r})"
-        )
 
 
 @dataclass
@@ -214,13 +238,6 @@ class _Route:
     #: transform chain runs, since the chain's ECode was compiled against
     #: the parent's field set
     pre_coercion: Optional[Tuple[IOFormat, IOFormat]] = None
-    #: per-byte-order checked payload decoders for the batch hot path —
-    #: identity routes are never fused (there is nothing to fuse), so the
-    #: batch loop decodes them straight from the parsed header instead of
-    #: re-entering the per-message pipeline
-    payload_decoders: Dict[str, Callable[[bytes, int, int], Tuple[Record, int]]] = field(
-        default_factory=dict
-    )
 
     @property
     def is_reject(self) -> bool:
@@ -269,11 +286,11 @@ class MorphReceiver:
         shapes the generator does not support, e.g. resized fixed
         arrays).
     contain_failures:
-        True turns :meth:`process` into a total function: instead of
-        raising, failed messages (undecodable bytes, unknown formats,
-        broken transforms, rejected matches, handler exceptions) land in
-        a bounded **dead-letter queue** with the raw bytes and error
-        attached, and :meth:`process` returns ``None``.  A format id
+        True turns :meth:`process` and :meth:`process_batch` into total
+        functions: instead of raising, failed messages (undecodable
+        bytes, unknown formats, broken transforms, rejected matches,
+        handler exceptions) land in a bounded **dead-letter queue** with
+        the raw bytes and error attached, and yield ``None``.  A format id
         failing *quarantine_threshold* consecutive times is
         **quarantined**: its messages are counted and dropped at the
         header peek, so poison traffic stops paying pipeline costs.
@@ -332,10 +349,6 @@ class MorphReceiver:
         self._dead_letters: Deque[DeadLetter] = deque(maxlen=dlq_limit)
         self._quarantined: Set[int] = set()
         self._failure_counts: Dict[int, int] = {}
-        #: "dispatch" while a handler runs; lets containment attribute a
-        #: generic exception to the handler rather than the pipeline
-        self._stage = "pipeline"
-        self._retrying = False
         self.containment = {
             "dead_lettered": 0,
             "evicted": 0,
@@ -367,12 +380,8 @@ class MorphReceiver:
             self._default_handler = handler
             self._routes.clear()
 
-    def known_formats(self) -> List[IOFormat]:
-        with self._lock:
-            return list(self._handler_formats)
-
     # ------------------------------------------------------------------
-    # Processing
+    # Processing: one receive loop over the message segments of a buffer
     # ------------------------------------------------------------------
 
     def process(self, data: bytes) -> Any:
@@ -381,23 +390,17 @@ class MorphReceiver:
         Raises :class:`UnknownFormatError` for unregistered wire ids and
         :class:`NoMatchError` for rejected messages when no default
         handler is installed — unless ``contain_failures`` is set, in
-        which case failures dead-letter and ``None`` is returned."""
-        if self.contain_failures:
-            return self._process_contained(data)
-        if not OBS.enabled:
-            return self._process(data)
-        # re-activate the wire-carried trace context (a no-op for
-        # untraced messages) so standalone receivers — and replays from
-        # queues where the publishing call stack is gone — still join
-        # the message's distributed trace
-        with activate(peek_trace(data)), OBS.tracer.span("morph.process"):
-            return self._process(data)
+        which case failures dead-letter and ``None`` is returned.  The
+        message runs through the receive loop as a frame of one segment
+        spanning *data*, without a copy."""
+        return self._receive(data, _WHOLE_BUFFER)[0]
 
     def process_batch(self, data: bytes) -> List[Any]:
         """Process one BATCH1 frame (:mod:`repro.net.batch`): validate
         the frame once, activate its frame-level trace context once, then
-        run every contained message through :meth:`process` as a
-        zero-copy ``memoryview`` slice of the shared receive buffer.
+        run the receive loop over its messages, each a zero-copy
+        ``memoryview`` slice of the shared receive buffer.  Records,
+        order and counters are those of :meth:`process` per message.
 
         Containment is per *message*: with ``contain_failures`` set, a
         poisoned message dead-letters alone (its raw bytes are copied out
@@ -406,7 +409,8 @@ class MorphReceiver:
         way to split it.  Without containment the first failure raises,
         exactly like :meth:`process`.
 
-        Returns the per-message handler results, in wire order."""
+        Returns the per-message handler results, in wire order (``None``
+        for a dead-lettered or quarantined message)."""
         from repro.net.batch import unpack_batch
 
         try:
@@ -417,155 +421,120 @@ class MorphReceiver:
                 return []
             raise
         view = data if isinstance(data, memoryview) else memoryview(data)
-        # one trace splice per frame: activate(None) is a passthrough, so
-        # the frame context survives each message's own (trace-less)
-        # activate in process()
-        if not self.contain_failures and not OBS.enabled:
-            with activate(frame.trace):
-                return self._process_batch_fast(view, frame.segments)
-        results: List[Any] = []
+        # activate(None) is a passthrough, so the frame context survives
+        # each trace-less message's own activate in the loop
         with activate(frame.trace):
-            for off, length in frame.segments:
-                results.append(self.process(view[off:off + length]))
-        return results
+            return self._receive(view, frame.segments)
 
-    def _process_batch_fast(
-        self, view: memoryview, segments: Tuple[Tuple[int, int], ...]
+    def _receive(
+        self,
+        buf: bytes,
+        segments: Tuple[Tuple[int, int], ...],
+        retrying: bool = False,
     ) -> List[Any]:
-        """The zero-copy decode hot path: successive records are decoded
-        straight out of the shared frame buffer through each format's
-        cached fused routine — or, for routes with nothing to fuse
-        (identity traffic), a cached checked payload decoder driven by
-        the already-parsed header — with the per-message wrapper work
-        (route lookup, stat increments) hoisted out of the loop.  Counter
-        totals stay identical to running :meth:`process` per message —
-        the batching differential oracle depends on that.  Segments whose
-        route is cold or rejecting, or interpretive-decode receivers
-        (``use_codegen=False``), fall back to the normal per-message
-        pipeline."""
+        """Algorithm 2 over every ``(offset, length)`` message segment of
+        *buf* (a length of -1 spans the whole buffer): parse the header
+        once, drop quarantined formats, then find (or plan) the route, run
+        its execute step and dispatch.
+
+        With containment on, a failing segment dead-letters alone and
+        yields ``None``; otherwise the first failure raises.  The
+        ``morph.receiver.*`` counters flush once, when the loop ends,
+        with the totals of one message at a time.  *retrying* (set by
+        :meth:`retry_dead_letters`) contains failures and lets
+        quarantined formats through."""
+        observing = OBS.enabled
+        contain = self.contain_failures or retrying
+        quarantined = self._quarantined
+        frame = _Frame()
         results: List[Any] = []
-        routes = self._routes
-        handlers = self._handlers
-        stats = self.stats
-        use_codegen = self.use_codegen
-        fast = morphed = reconciled = perfect = 0
-        last_id = -1
-        route: Optional[_Route] = None
         try:
             for off, length in segments:
-                seg = view[off:off + length]
+                seg = buf if length < 0 else buf[off:off + length]
+                frame.stage = "decode"
+                format_id: Optional[int] = None
                 try:
                     header = unpack_header(seg)
-                except Exception:
-                    # _process counts a message before parsing its header
-                    stats.inc("messages")
-                    raise
-                if header.format_id != last_id:
-                    last_id = header.format_id
-                    route = routes.get(last_id)
-                if route is None or route.is_reject:
-                    results.append(self._process(seg))
-                    continue
-                order = ">" if header.flags & FLAG_BIG_ENDIAN else "<"
-                fused = route.fused
-                fn = fused.fn_for(order) if fused is not None else None
-                if fn is None and not use_codegen:
-                    results.append(self._process(seg))
-                    continue
-                # committed to the fast path: messages/cache_hits count
-                # even if decode fails, exactly like _process
-                fast += 1
-                body = header.body_offset
-                end = body + header.payload_length
-                if fn is not None:
-                    try:
-                        record, _consumed = fn(seg, body, end)
-                    except TransformError as exc:
-                        # mirror _run_fused: a chain that completed before
-                        # a failing reconcile still counts as morphed
-                        if (
-                            getattr(exc, "fused_stage", None) == "coercion"
-                            and route.chain is not None
-                        ):
-                            morphed += 1
-                        raise
-                    if route.chain is not None:
-                        morphed += 1
-                else:
-                    dec = route.payload_decoders.get(order)
-                    if dec is None:
-                        dec = make_checked_payload_decoder(
-                            route.wire_format, order
-                        )
-                        route.payload_decoders[order] = dec
-                    record, _consumed = dec(seg, body, end)
-                    if route.pre_coercion is not None:
-                        record = widen_record(*route.pre_coercion, record)
-                        if OBS.enabled:
+                    format_id = header.format_id
+                    if format_id in quarantined and not retrying:
+                        self.containment["quarantine_drops"] += 1
+                        if observing:
                             OBS.metrics.counter(
-                                "morph.projection.widened"
+                                "morph.receiver.quarantine_drops"
                             ).inc()
-                    if route.chain is not None:
-                        record = route.chain.apply(record)
-                        morphed += 1
-                    if route.coercion is not None:
-                        record = self._reconcile(route, record)
-                if route.coercion is not None:
-                    reconciled += 1
-                else:
-                    perfect += 1
-                results.append(
-                    self._invoke(handlers[route.handler_format.format_id], record)
-                )
+                        results.append(None)
+                        continue
+                    frame.messages += 1
+                    if observing:
+                        # re-activate the wire-carried trace context so
+                        # standalone receivers, and dead-letter retries
+                        # whose publishing call stack is gone, still join
+                        # the message's distributed trace
+                        with activate(header.trace), OBS.tracer.span(
+                            "morph.process"
+                        ):
+                            result = self._pipeline(seg, header, frame, True)
+                    else:
+                        result = self._pipeline(seg, header, frame, False)
+                except Exception as exc:  # noqa: BLE001 - defined containment
+                    if not contain:
+                        raise
+                    stage = next(
+                        (name for cls, name in _FAILURE_STAGES
+                         if isinstance(exc, cls)),
+                        frame.stage,
+                    )
+                    self._dead_letter(seg, format_id, stage, exc)
+                    result = None
+                results.append(result)
         finally:
-            if fast:
-                stats.inc("messages", fast)
-                stats.inc("cache_hits", fast)
-                if morphed:
-                    stats.inc("morphed", morphed)
-                if reconciled:
-                    stats.inc("reconciled", reconciled)
-                if perfect:
-                    stats.inc("perfect_matches", perfect)
+            self.stats.add(vars(frame))
         return results
 
-    def _process_contained(self, data: bytes) -> Any:
-        """Total-function variant of :meth:`process`: classify failures
-        by pipeline stage, dead-letter the message, quarantine repeat
-        offenders — and never raise into the transport."""
-        try:
-            format_id: Optional[int] = unpack_header(data).format_id
-        except Exception as exc:  # noqa: BLE001 - malformed header
-            self._dead_letter(data, None, "decode", exc)
-            return None
-        if format_id in self._quarantined and not self._retrying:
-            self.containment["quarantine_drops"] += 1
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "morph.receiver.quarantine_drops"
-                ).inc()
-            return None
-        self._stage = "pipeline"
-        try:
-            if not OBS.enabled:
-                return self._process(data)
-            # the DLQ keeps the raw wire bytes, so a retry_dead_letters
-            # pass re-enters here with the original trace block intact —
-            # the retry's spans resume the original trace
-            with activate(peek_trace(data)), OBS.tracer.span("morph.process"):
-                return self._process(data)
-        except UnknownFormatError as exc:
-            self._dead_letter(data, format_id, "unknown_format", exc)
-        except NoMatchError as exc:
-            self._dead_letter(data, format_id, "no_match", exc)
-        except TransformError as exc:
-            self._dead_letter(data, format_id, "transform", exc)
-        except Exception as exc:  # noqa: BLE001 - defined containment
-            stage = "dispatch" if self._stage == "dispatch" else "decode"
-            self._dead_letter(data, format_id, stage, exc)
-        finally:
-            self._stage = "pipeline"
-        return None
+    def _pipeline(
+        self, seg: bytes, header: MessageHeader, frame: _Frame, observing: bool
+    ) -> Any:
+        """One parsed segment: find or plan its route, run the execute
+        step, then count the match and dispatch to the handler."""
+        route = self._routes.get(header.format_id)
+        if route is not None:
+            frame.cache_hits += 1
+        else:
+            incoming = self.registry.lookup_id(header.format_id)
+            if incoming is None:
+                raise UnknownFormatError(header.format_id)
+            frame.cache_misses += 1
+            route = self._cached_route(incoming)
+        record = self._execute(route, seg, header, frame, observing)
+        handler_format = route.handler_format
+        if handler_format is None:
+            frame.rejected += 1
+            if self._default_handler is None:
+                raise NoMatchError(
+                    f"no acceptable match for incoming format "
+                    f"{route.wire_format.name!r} v{route.wire_format.version} "
+                    f"(diff_threshold={self.diff_threshold}, "
+                    f"mismatch_threshold={self.mismatch_threshold})"
+                )
+            frame.stage = "dispatch"
+            return self._default_handler(route.wire_format, record)
+        if route.coercion is not None:
+            frame.reconciled += 1
+        else:
+            frame.perfect_matches += 1
+        handler = self._handlers[handler_format.format_id]
+        frame.stage = "dispatch"
+        if not observing:
+            return handler(record)
+        OBS.metrics.bounded_counter(
+            "morph.dispatch.delivered", format=handler_format.name
+        ).inc()
+        with OBS.tracer.span(
+            "morph.dispatch",
+            format=handler_format.name,
+            version=handler_format.version,
+        ):
+            return handler(record)
 
     def _dead_letter(
         self,
@@ -575,10 +544,7 @@ class MorphReceiver:
         exc: BaseException,
     ) -> None:
         with self._lock:
-            if (
-                self._dead_letters.maxlen is not None
-                and len(self._dead_letters) == self._dead_letters.maxlen
-            ):
+            if len(self._dead_letters) == self._dead_letters.maxlen:
                 self.containment["evicted"] += 1
                 if OBS.enabled:
                     OBS.metrics.counter("morph.receiver.dlq_evicted").inc()
@@ -661,20 +627,16 @@ class MorphReceiver:
                     self._failure_counts.pop(entry.format_id, None)
         succeeded = 0
         requeued = 0
-        self._retrying = True
-        try:
-            for entry in entries:
-                depth_before = len(self._dead_letters)
-                self._process_contained(entry.data)
-                if len(self._dead_letters) > depth_before:
-                    self._dead_letters[-1].attempts = entry.attempts + 1
-                    requeued += 1
-                    self.containment["retry_failures"] += 1
-                else:
-                    succeeded += 1
-                    self.containment["retried"] += 1
-        finally:
-            self._retrying = False
+        for entry in entries:
+            depth_before = len(self._dead_letters)
+            self._receive(entry.data, _WHOLE_BUFFER, retrying=True)
+            if len(self._dead_letters) > depth_before:
+                self._dead_letters[-1].attempts = entry.attempts + 1
+                requeued += 1
+                self.containment["retry_failures"] += 1
+            else:
+                succeeded += 1
+                self.containment["retried"] += 1
         if OBS.enabled and entries:
             OBS.metrics.counter("morph.receiver.dlq_retried").inc(succeeded)
             OBS.metrics.counter("morph.receiver.dlq_requeued").inc(requeued)
@@ -695,55 +657,20 @@ class MorphReceiver:
                     return True
         return False
 
-    def _process(self, data: bytes) -> Any:
-        self.stats.inc("messages")
-        header = unpack_header(data)
-        format_id = header.format_id
-        route = self._routes.get(format_id)
-        if route is not None:
-            self.stats.inc("cache_hits")
-        else:
-            incoming = self.registry.lookup_id(format_id)
-            if incoming is None:
-                raise UnknownFormatError(format_id)
-            self.stats.inc("cache_misses")
-            with self._lock:
-                route = self._routes.get(format_id)
-                if route is None:
-                    route = self._plan_route(incoming)
-                    self._cache_route(format_id, route)
-        if route.fused is not None:
-            order = ">" if header.flags & FLAG_BIG_ENDIAN else "<"
-            fn = route.fused.fn_for(order)
-            if fn is not None:
-                return self._run_fused(route, fn, data, header)
-        return self._run_route(route, data)
-
-    def process_record(self, fmt: IOFormat, record: Record) -> Any:
-        """Process an already-decoded record (used when the transport
-        delivers in-process without a wire hop)."""
-        self.stats.inc("messages")
-        self.registry.register(fmt)
-        route = self._routes.get(fmt.format_id)
-        if route is not None:
-            self.stats.inc("cache_hits")
-        else:
-            self.stats.inc("cache_misses")
-            with self._lock:
-                route = self._routes.get(fmt.format_id)
-                if route is None:
-                    route = self._plan_route(fmt)
-                    self._cache_route(fmt.format_id, route)
-        return self._deliver(route, record)
-
-    def _cache_route(self, format_id: int, route: _Route) -> None:
-        """Insert under ``self._lock``, evicting the oldest entry once the
-        cache is full (FIFO: route planning is cheap relative to holding
-        compiled routines for formats that stopped arriving)."""
-        while len(self._routes) >= self.MAX_ROUTES:
-            self._routes.pop(next(iter(self._routes)))
-        self._routes[format_id] = route
-        self.stats.set_route_cache_size(len(self._routes))
+    def _cached_route(self, fmt: IOFormat) -> _Route:
+        """The route for *fmt*, planned and cached under ``self._lock`` on
+        a miss.  The cache evicts FIFO once full: route planning is cheap
+        relative to holding compiled routines for formats that stopped
+        arriving."""
+        with self._lock:
+            route = self._routes.get(fmt.format_id)
+            if route is None:
+                route = self._plan_route(fmt)
+                while len(self._routes) >= self.MAX_ROUTES:
+                    self._routes.pop(next(iter(self._routes)))
+                self._routes[fmt.format_id] = route
+                self.stats.set_route_cache_size(len(self._routes))
+            return route
 
     # ------------------------------------------------------------------
     # Route planning (the expensive, once-per-format part)
@@ -751,7 +678,7 @@ class MorphReceiver:
 
     def _plan_route(self, incoming: IOFormat) -> _Route:
         if not OBS.enabled:
-            return self._attach_fusion(self._plan_any(incoming))
+            return self._plan_any(incoming)
         with OBS.tracer.span(
             "morph.maxmatch", format=incoming.name, version=incoming.version
         ) as active:
@@ -760,17 +687,22 @@ class MorphReceiver:
                 active.set_attr("mismatch", route.match.mismatch)
                 active.set_attr("diff", route.match.diff_forward)
             active.set_attr("rejected", route.is_reject)
-            return self._attach_fusion(route)
+            return route
 
     def _plan_any(self, incoming: IOFormat) -> _Route:
         """Projection-aware planning entry: a projection format whose
         parent has a usable route rides that route; everything else (and
-        every fallback) goes through ordinary MaxMatch planning."""
+        every fallback) goes through ordinary MaxMatch planning.  Then
+        whole-route fusion is planned (liveness analysis now, per-order
+        source emission and compile lazily)."""
+        route = None
         if isinstance(incoming, ProjectionFormat):
             route = self._plan_projection_route(incoming)
-            if route is not None:
-                return route
-        return self._plan_route_inner(incoming)
+        if route is None:
+            route = self._plan_route_inner(incoming)
+        if self.use_fusion and not route.is_reject:
+            route.fused = plan_fusion(route)
+        return route
 
     def _plan_projection_route(
         self, incoming: ProjectionFormat
@@ -792,11 +724,7 @@ class MorphReceiver:
         parent = self.registry.lookup_id(incoming.parent_format_id)
         if parent is None or parent.format_id == incoming.format_id:
             return None
-        with self._lock:
-            parent_route = self._routes.get(parent.format_id)
-            if parent_route is None:
-                parent_route = self._plan_route(parent)
-                self._cache_route(parent.format_id, parent_route)
+        parent_route = self._cached_route(parent)
         if parent_route.is_reject:
             return None
         fused = parent_route.fused
@@ -823,13 +751,6 @@ class MorphReceiver:
             fields_defaulted=parent_route.fields_defaulted,
             pre_coercion=(incoming, parent),
         )
-
-    def _attach_fusion(self, route: _Route) -> _Route:
-        """Plan whole-route fusion for a freshly planned route (liveness
-        analysis now, per-order source emission and compile lazily)."""
-        if self.use_fusion and not route.is_reject:
-            route.fused = plan_fusion(route)
-        return route
 
     def _plan_route_inner(self, incoming: IOFormat) -> _Route:
         # Line 4: Fr -- reader formats with the same name as fm
@@ -944,96 +865,61 @@ class MorphReceiver:
     # Route execution (the cheap, per-message part)
     # ------------------------------------------------------------------
 
-    def _run_route(self, route: _Route, data: bytes) -> Any:
-        if OBS.enabled:
-            OBS.metrics.counter("morph.receiver.staged_messages").inc()
-        record = self.context.decode_as(route.wire_format, data)
-        return self._deliver(route, record)
-
-    def _run_fused(
+    def _execute(
         self,
         route: _Route,
-        fn: Callable[[bytes, int, int], Tuple[Record, int]],
-        data: bytes,
-        header: Any,
-    ) -> Any:
-        """Execute one message through the fused routine, keeping counter
-        effects identical to the staged pipeline: ``morphed`` counts a
-        chain that ran to completion (including when a subsequent ecode
-        reconcile step fails), ``reconciled``/``perfect_matches`` count
-        deliveries."""
-        body = header.body_offset
-        end = body + header.payload_length
-        observing = OBS.enabled
-        try:
-            if observing:
-                OBS.metrics.counter("morph.receiver.fused_messages").inc()
-                with OBS.tracer.span(
-                    "morph.fused",
-                    format=route.wire_format.name,
-                    version=route.wire_format.version,
+        seg: bytes,
+        header: MessageHeader,
+        frame: _Frame,
+        observing: bool,
+    ) -> Record:
+        """The execute step: the route's fused routine for the header's
+        byte order when it has one; otherwise the staged pipeline —
+        checked decode through the endpoint's :class:`PBIOContext` (with
+        the already-parsed header), projection widening, transform chain,
+        reconcile.  ``morphed`` counts a chain that ran to completion on
+        either path, including when a later reconcile step fails."""
+        fused = route.fused
+        fn = None
+        if fused is not None:
+            fn = fused.fn_for(">" if header.flags & FLAG_BIG_ENDIAN else "<")
+        if fn is not None:
+            body = header.body_offset
+            end = body + header.payload_length
+            try:
+                if observing:
+                    OBS.metrics.counter("morph.receiver.fused_messages").inc()
+                    with OBS.tracer.span(
+                        "morph.fused",
+                        format=route.wire_format.name,
+                        version=route.wire_format.version,
+                    ):
+                        start = time.perf_counter()
+                        record, _consumed = fn(seg, body, end)
+                        elapsed = time.perf_counter() - start
+                    OBS.metrics.histogram("morph.fused.seconds").observe(elapsed)
+                else:
+                    record, _consumed = fn(seg, body, end)
+            except TransformError as exc:
+                if (
+                    getattr(exc, "fused_stage", None) == "coercion"
+                    and route.chain is not None
                 ):
-                    start = time.perf_counter()
-                    record, _consumed = fn(data, body, end)
-                    elapsed = time.perf_counter() - start
-                OBS.metrics.histogram("morph.fused.seconds").observe(elapsed)
-            else:
-                record, _consumed = fn(data, body, end)
-        except TransformError as exc:
-            if (
-                getattr(exc, "fused_stage", None) == "coercion"
-                and route.chain is not None
-            ):
-                # the staged path counts the chain before reconciling
-                self.stats.inc("morphed")
-            raise
-        if route.chain is not None:
-            self.stats.inc("morphed")
-            if observing:
-                # identical labeled counter to the staged path, so the
-                # fused/staged differential oracle sees no divergence
-                OBS.metrics.bounded_counter(
-                    "morph.transform.applied", format=route.wire_format.name
-                ).inc()
-        if route.coercion is not None:
-            self.stats.inc("reconciled")
-        else:
-            self.stats.inc("perfect_matches")
-        handler_format = route.handler_format
-        assert handler_format is not None
-        handler = self._handlers[handler_format.format_id]
+                    frame.morphed += 1
+                raise
+            if route.chain is not None:
+                frame.morphed += 1
+                if observing:
+                    # identical labeled counter to the staged path, so the
+                    # fused/staged differential oracle sees no divergence
+                    OBS.metrics.bounded_counter(
+                        "morph.transform.applied", format=route.wire_format.name
+                    ).inc()
+            return record
+
         if observing:
-            OBS.metrics.bounded_counter(
-                "morph.dispatch.delivered", format=handler_format.name
-            ).inc()
-            with OBS.tracer.span(
-                "morph.dispatch",
-                format=handler_format.name,
-                version=handler_format.version,
-            ):
-                return self._invoke(handler, record)
-        return self._invoke(handler, record)
-
-    def _invoke(self, handler: Handler, record: Record) -> Any:
-        """Run the application handler with the containment stage marked,
-        so a handler exception dead-letters as ``dispatch``, not as a
-        pipeline failure."""
-        self._stage = "dispatch"
-        return handler(record)
-
-    def _deliver(self, route: _Route, record: Record) -> Any:
-        if route.is_reject:
-            self.stats.inc("rejected")
-            if self._default_handler is not None:
-                self._stage = "dispatch"
-                return self._default_handler(route.wire_format, record)
-            raise NoMatchError(
-                f"no acceptable match for incoming format "
-                f"{route.wire_format.name!r} v{route.wire_format.version} "
-                f"(diff_threshold={self.diff_threshold}, "
-                f"mismatch_threshold={self.mismatch_threshold})"
-            )
-        observing = OBS.enabled
+            OBS.metrics.counter("morph.receiver.staged_messages").inc()
+        record = self.context.decode_as(route.wire_format, seg, header)
         if route.pre_coercion is not None:
             record = widen_record(*route.pre_coercion, record)
             if observing:
@@ -1055,7 +941,7 @@ class MorphReceiver:
                 ).inc()
             else:
                 record = route.chain.apply(record)
-            self.stats.inc("morphed")
+            frame.morphed += 1
         if route.coercion is not None:
             if observing:
                 with OBS.tracer.span(
@@ -1073,23 +959,7 @@ class MorphReceiver:
                 ).observe(route.fields_defaulted)
             else:
                 record = self._reconcile(route, record)
-            self.stats.inc("reconciled")
-        else:
-            self.stats.inc("perfect_matches")
-        handler_format = route.handler_format
-        assert handler_format is not None
-        handler = self._handlers[handler_format.format_id]
-        if observing:
-            OBS.metrics.bounded_counter(
-                "morph.dispatch.delivered", format=handler_format.name
-            ).inc()
-            with OBS.tracer.span(
-                "morph.dispatch",
-                format=handler_format.name,
-                version=handler_format.version,
-            ):
-                return self._invoke(handler, record)
-        return self._invoke(handler, record)
+        return record
 
     def _reconcile(self, route: _Route, record: Record) -> Record:
         if route.coercion_transform is not None:
@@ -1115,12 +985,8 @@ class MorphReceiver:
         without a provable liveness set (rejects, identity dispatch,
         interpreter chains, fusion disabled) conservatively reports
         ``None``, which negotiates full-format traffic."""
-        with self._lock:
-            route = self._routes.get(fmt.format_id)
-            if route is None:
-                self.registry.register(fmt)
-                route = self._plan_route(fmt)
-                self._cache_route(fmt.format_id, route)
+        self.registry.register(fmt)
+        route = self._cached_route(fmt)
         if route.is_reject:
             return None
         fused = route.fused

@@ -31,6 +31,7 @@ from repro.pbio.buffer import (
     FLAG_BIG_ENDIAN,
     HEADER_SIZE,
     ORDER_PREFIX,
+    MessageHeader,
     pack_header,
     unpack_header,
 )
@@ -39,7 +40,7 @@ from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, trusted_record
 from repro.pbio.types import STRUCT_CODES, TypeKind
 
-DecoderFn = Callable[[bytes], Record]
+DecoderFn = Callable[..., Record]  # (data, header=None) -> Record
 EncoderFn = Callable[[Any], bytes]
 
 
@@ -400,11 +401,11 @@ def make_payload_decoder(
 def make_checked_payload_decoder(
     fmt: IOFormat, order: str = "<"
 ) -> Callable[[bytes, int, int], Tuple[Record, int]]:
-    """A :func:`make_payload_decoder` routine wrapped with the full
-    decoder's error mapping and trailing-bytes validation, still taking
-    ``(data, off, end)`` and returning ``(record, consumed_offset)`` —
-    the zero-copy entry point for batch receivers that have already
-    parsed the message header themselves."""
+    """A :func:`make_payload_decoder` routine wrapped with the error
+    mapping (every malformed shape surfaces as :class:`DecodeError`) and
+    trailing-bytes validation, still taking ``(data, off, end)`` and
+    returning ``(record, consumed_offset)`` — the payload step of
+    :func:`make_decoder`, for callers that already parsed the header."""
     payload_decoder = make_payload_decoder(fmt, order)
 
     def decode(data: bytes, start: int, end: int) -> Tuple[Record, int]:
@@ -431,18 +432,21 @@ def make_checked_payload_decoder(
 
 
 def make_decoder(fmt: IOFormat) -> DecoderFn:
-    """Compile a full-message decoder: checks the header, verifies the
-    format id, decodes the payload with the specialized routine.
+    """Compile a full-message decoder ``decode(data, header=None)``: it
+    checks the header (or takes the one the caller already parsed),
+    verifies the format id, then runs the checked payload decoder for
+    the header's byte order.
 
     The little-endian payload decoder is generated eagerly; a big-endian
     variant is generated lazily on first sight of the header flag
     (receiver-makes-right: the conversion cost lands on the reader, and
     only when orders actually differ)."""
-    payload_decoders = {"<": make_payload_decoder(fmt, "<")}
+    payload_decoders = {"<": make_checked_payload_decoder(fmt, "<")}
     expected_id = fmt.format_id
 
-    def decode(data: bytes) -> Record:
-        header = unpack_header(data)
+    def decode(data: bytes, header: Optional[MessageHeader] = None) -> Record:
+        if header is None:
+            header = unpack_header(data)
         if header.format_id != expected_id:
             raise DecodeError(
                 f"message format id {header.format_id:#x} does not match "
@@ -451,27 +455,10 @@ def make_decoder(fmt: IOFormat) -> DecoderFn:
         order = ">" if header.flags & FLAG_BIG_ENDIAN else "<"
         payload_decoder = payload_decoders.get(order)
         if payload_decoder is None:
-            payload_decoder = make_payload_decoder(fmt, order)
+            payload_decoder = make_checked_payload_decoder(fmt, order)
             payload_decoders[order] = payload_decoder
         start = header.body_offset
-        end = start + header.payload_length
-        try:
-            record, off = payload_decoder(data, start, end)
-        except struct.error as exc:
-            raise DecodeError(f"truncated message for {fmt.name!r}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DecodeError(
-                f"invalid UTF-8 in string field of {fmt.name!r}: {exc}"
-            ) from None
-        except (IndexError, KeyError, MemoryError, OverflowError) as exc:
-            raise DecodeError(
-                f"corrupt message for {fmt.name!r}: {exc!r}"
-            ) from None
-        if off != end:
-            raise DecodeError(
-                f"{end - off} trailing bytes after decoding format {fmt.name!r}"
-            )
-        return record
+        return payload_decoder(data, start, start + header.payload_length)[0]
 
     decode.__name__ = f"decode_{fmt.name}"
     return decode

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import UnknownFormatError
 from repro.obs import OBS
 from repro.pbio import codegen
-from repro.pbio.buffer import unpack_header
+from repro.pbio.buffer import MessageHeader, unpack_header
 from repro.pbio.decode import decode_record as generic_decode_record
 from repro.pbio.encode import encode_record as generic_encode_record
 from repro.pbio.format import IOFormat
@@ -122,16 +123,24 @@ class PBIOContext:
         fmt = self.registry.lookup_id(header.format_id)
         if fmt is None:
             raise UnknownFormatError(header.format_id)
-        return fmt, self.decode_as(fmt, data)
+        return fmt, self.decode_as(fmt, data, header)
 
-    def decode_as(self, fmt: IOFormat, data: bytes) -> Record:
-        """Decode *data* with the (possibly generated) decoder for *fmt*."""
+    def decode_as(
+        self, fmt: IOFormat, data: bytes, header: Optional[MessageHeader] = None
+    ) -> Record:
+        """Decode *data* with the (possibly generated) decoder for *fmt*.
+
+        A caller that already parsed the message header passes it as
+        *header*, so the header is read once per message."""
+        decoder = self._decoders.get(fmt.format_id)
+        if decoder is None:
+            decoder = self._decoder_for(fmt)
         if not OBS.enabled:
-            return self._decode_as(fmt, data)
+            return decoder(data, header)
         path = "specialized" if self.use_codegen else "generic"
         with OBS.tracer.span("pbio.decode", format=fmt.name, path=path):
             start = time.perf_counter()
-            record = self._decode_as(fmt, data)
+            record = decoder(data, header)
             elapsed = time.perf_counter() - start
         metrics = OBS.metrics
         metrics.counter("pbio.decode.messages", path=path).inc()
@@ -139,25 +148,25 @@ class PBIOContext:
         metrics.histogram("pbio.decode.seconds").observe(elapsed)
         return record
 
-    def _decode_as(self, fmt: IOFormat, data: bytes) -> Record:
+    def _decoder_for(self, fmt: IOFormat) -> codegen.DecoderFn:
+        """The generated decoder for *fmt*, generated and cached on first
+        use — or the interpretive decoder when codegen is off."""
         if not self.use_codegen:
-            return generic_decode_record(fmt, data)
-        decoder = self._decoders.get(fmt.format_id)
-        if decoder is None:
-            with self._lock:
-                decoder = self._decoders.get(fmt.format_id)
-                if decoder is None:
-                    start = time.perf_counter()
-                    decoder = codegen.make_decoder(fmt)
-                    if OBS.enabled:
-                        metrics = OBS.metrics
-                        metrics.counter("pbio.codegen.decoders").inc()
-                        metrics.histogram("pbio.codegen.seconds").observe(
-                            time.perf_counter() - start
-                        )
-                    self._cache_codec(self._decoders, fmt.format_id, decoder,
-                                      "pbio.context.decoder_cache_size")
-        return decoder(data)
+            return partial(generic_decode_record, fmt)
+        with self._lock:
+            decoder = self._decoders.get(fmt.format_id)
+            if decoder is None:
+                start = time.perf_counter()
+                decoder = codegen.make_decoder(fmt)
+                if OBS.enabled:
+                    metrics = OBS.metrics
+                    metrics.counter("pbio.codegen.decoders").inc()
+                    metrics.histogram("pbio.codegen.seconds").observe(
+                        time.perf_counter() - start
+                    )
+                self._cache_codec(self._decoders, fmt.format_id, decoder,
+                                  "pbio.context.decoder_cache_size")
+            return decoder
 
     def _cache_codec(
         self, cache: Dict[int, Any], format_id: int, codec: Any, gauge: str

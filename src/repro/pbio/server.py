@@ -1,12 +1,12 @@
 """The format server as a fallible network service.
 
-:mod:`repro.pbio.service` models the out-of-band meta-data channel as an
-always-up JSON service on raw nodes.  This module is its
-production-shaped sibling, built for the failure modes real deployments
-hit: requests ride a :class:`~repro.net.reliable.ReliableEndpoint`
-(retries, circuit breaking), the server can run with a **standby
-replica** it mirrors registrations to, and the client is a
-:class:`CachingFormatResolver` that
+PBIO keeps meta-data out-of-band: wire messages carry only a format id,
+and readers resolve ids against a format server.  This module is that
+server, built for the failure modes real deployments hit: requests ride
+a :class:`~repro.net.reliable.ReliableEndpoint` (retries, circuit
+breaking), the server can run with a **standby replica** it mirrors
+registrations to, and the client is a :class:`CachingFormatResolver`
+that
 
 * serves every previously seen format from its **local cache** without
   touching the network,

@@ -1,4 +1,4 @@
-"""MorphReceiver.process_batch — the zero-copy batch decode hot path.
+"""MorphReceiver.process_batch — the receive loop over a BATCH1 frame.
 
 The conftest's autouse fixture runs every test here against both the
 fused and the staged pipeline, so each assertion doubles as a
@@ -7,7 +7,9 @@ fused-vs-staged equivalence check on the batch path too.
 The core contracts:
 
 * batched processing is observationally identical to per-message
-  processing — records, order, and every ``morph.receiver.*`` counter;
+  processing — records, order, every ``morph.receiver.*`` counter and
+  the containment counts, with containment and observability each on
+  or off;
 * records decoded from a shared frame buffer never alias it — mutating
   the buffer after decode must not change a delivered record;
 * hostile frames are clean :class:`~repro.errors.DecodeError`\\ s;
@@ -18,7 +20,7 @@ The core contracts:
 import pytest
 
 from repro import obs
-from repro.errors import DecodeError
+from repro.errors import DecodeError, ReproError
 from repro.morph.receiver import MorphReceiver
 from repro.net.batch import pack_batch
 from repro.pbio.context import PBIOContext
@@ -56,52 +58,92 @@ def encode_all(registry, fmt, records):
     return [ctx.encode(fmt, r) for r in records]
 
 
+#: (contain_failures, observability on) — the receive loop runs one code
+#: path under all four, so every parity test runs under each
+MODES = [
+    (contain, observing)
+    for observing in (False, True)
+    for contain in (False, True)
+]
+
+
+def assert_parity(build, wires):
+    """Feed *wires* to a receiver one message at a time and to another
+    as one BATCH1 frame, under every mode in :data:`MODES`, and require
+    the same records in the same order, the same ``stats.snapshot()``,
+    the same ``containment`` counts and the same raised error class.
+    *build(got, contain_failures)* returns a fresh receiver delivering
+    into *got*.  Returns the batched receiver and its records per mode."""
+    arms = []
+    for contain, observing in MODES:
+        mode = f"contain_failures={contain} obs={observing}"
+        if observing:
+            obs.enable(registry=obs.Registry())
+        try:
+            got_single, got_batch = [], []
+            single = build(got_single, contain)
+            batched = build(got_batch, contain)
+            single_error = batch_error = None
+            for wire in wires:
+                try:
+                    single.process(wire)
+                except ReproError as exc:
+                    single_error = type(exc)
+                    break
+            try:
+                batched.process_batch(pack_batch(wires))
+            except ReproError as exc:
+                batch_error = type(exc)
+        finally:
+            if observing:
+                obs.disable(reset=True)
+        assert batch_error is single_error, mode
+        assert got_batch == got_single, mode
+        assert batched.stats.snapshot() == single.stats.snapshot(), mode
+        assert batched.containment == single.containment, mode
+        arms.append((batched, got_batch))
+    return arms
+
+
+def chain_receiver(got, contain, handler=None):
+    """A receiver morphing ChainEvt 2.0 to its 1.0 handler."""
+    receiver = MorphReceiver(
+        registry=FormatRegistry(), contain_failures=contain
+    )
+    receiver.registry.register_transform(V2_TO_V1)
+    receiver.register_handler(EVT_V1, handler or got.append)
+    return receiver
+
+
 class TestParityWithPerMessageProcessing:
     def test_identity_traffic_records_and_counters_match(self):
         records = [
             EVT.make_record(n=i, tag=f"t{i}") for i in range(17)
         ]
-        got_single, got_batch = [], []
-        single = make_receiver(EVT, got_single)
-        batched = make_receiver(EVT, got_batch)
-        wires = encode_all(single.registry, EVT, records)
-        for wire in wires:
-            single.process(wire)
-        batched.process_batch(pack_batch(wires))
-        assert got_batch == got_single == records
-        assert batched.stats.snapshot() == single.stats.snapshot()
-        assert batched.stats.messages == len(records)
+        wires = encode_all(FormatRegistry(), EVT, records)
+        for batched, got in assert_parity(
+            lambda got, contain: make_receiver(
+                EVT, got, contain_failures=contain
+            ),
+            wires,
+        ):
+            assert got == records
+            assert batched.stats.messages == len(records)
 
     def test_morph_chain_records_and_counters_match(self):
-        registry = FormatRegistry()
-        registry.register_transform(V2_TO_V1)
-        got_single, got_batch = [], []
-        single = MorphReceiver(registry=registry)
-        single.register_handler(EVT_V1, got_single.append)
-        batched = MorphReceiver(registry=FormatRegistry())
-        batched.registry.register_transform(V2_TO_V1)
-        batched.register_handler(EVT_V1, got_batch.append)
         wires = encode_all(
-            registry, EVT_V2,
+            FormatRegistry(), EVT_V2,
             [EVT_V2.make_record(n=i, extra=i * 7) for i in range(9)],
         )
-        for wire in wires:
-            single.process(wire)
-        batched.process_batch(pack_batch(wires))
-        assert got_batch == got_single
-        assert [r["n"] for r in got_batch] == list(range(9))
-        assert batched.stats.snapshot() == single.stats.snapshot()
-        assert batched.stats.morphed == 9
+        for batched, got in assert_parity(chain_receiver, wires):
+            assert [r["n"] for r in got] == list(range(9))
+            assert batched.stats.morphed == 9
 
     def test_mixed_formats_inside_one_frame(self):
-        """Alternating format ids defeat the hoisted route lookup's
-        last-format cache — it must re-resolve on every switch."""
+        """Alternating format ids must re-resolve the route on every
+        switch."""
         registry = FormatRegistry()
         registry.register_transform(V2_TO_V1)
-        got = []
-        receiver = MorphReceiver(registry=registry)
-        receiver.register_handler(EVT, got.append)
-        receiver.register_handler(EVT_V1, got.append)
         ctx = PBIOContext(registry)
         wires = []
         for i in range(8):
@@ -109,10 +151,16 @@ class TestParityWithPerMessageProcessing:
             wires.append(
                 ctx.encode(EVT_V2, EVT_V2.make_record(n=i, extra=1))
             )
-        receiver.process_batch(pack_batch(wires))
-        assert len(got) == 16
-        assert receiver.stats.messages == 16
-        assert receiver.stats.morphed == 8
+
+        def build(got, contain):
+            receiver = chain_receiver(got, contain)
+            receiver.register_handler(EVT, got.append)
+            return receiver
+
+        for batched, got in assert_parity(build, wires):
+            assert len(got) == 16
+            assert batched.stats.messages == 16
+            assert batched.stats.morphed == 8
 
     def test_parity_holds_with_observability_enabled(self):
         obs.enable(registry=obs.Registry())
@@ -132,12 +180,43 @@ class TestParityWithPerMessageProcessing:
 
     def test_interpretive_receiver_takes_the_fallback_path(self):
         records = [EVT.make_record(n=i, tag="i") for i in range(6)]
-        got = []
-        receiver = make_receiver(EVT, got, use_codegen=False)
-        wires = encode_all(receiver.registry, EVT, records)
-        receiver.process_batch(pack_batch(wires))
-        assert got == records
-        assert receiver.stats.messages == len(records)
+        wires = encode_all(FormatRegistry(), EVT, records)
+        for batched, got in assert_parity(
+            lambda got, contain: make_receiver(
+                EVT, got, use_codegen=False, contain_failures=contain
+            ),
+            wires,
+        ):
+            assert got == records
+            assert batched.stats.messages == len(records)
+
+    def test_frame_with_poisoned_segments(self):
+        """A truncated payload, an unknown format and a failing handler
+        in one frame: contained, each dead-letters alone; uncontained,
+        the first raises — with identical counters either way."""
+        wires = encode_all(
+            FormatRegistry(), EVT_V2,
+            [EVT_V2.make_record(n=i, extra=i) for i in range(6)],
+        )
+        wires[1] = wires[1][:-2]  # header claims bytes the frame lacks
+        wires[3] = PBIOContext().encode(EVT, EVT.make_record(n=3, tag="?"))
+
+        def build(got, contain):
+            def handler(record):
+                if record["n"] == 4:
+                    raise ValueError("handler bug")
+                got.append(record)
+
+            return chain_receiver(got, contain, handler)
+
+        for batched, got in assert_parity(build, wires):
+            if batched.contain_failures:
+                assert [r["n"] for r in got] == [0, 2, 5]
+                assert [l.stage for l in batched.dead_letters] == [
+                    "decode", "unknown_format", "dispatch",
+                ]
+            else:
+                assert [r["n"] for r in got] == [0]
 
 
 class TestZeroCopyAliasing:

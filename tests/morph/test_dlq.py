@@ -71,6 +71,23 @@ class TestContainment:
         assert letter.stage == "dispatch"
         assert "application bug" in letter.error
 
+    def test_handler_reentering_its_receiver_still_classifies_as_dispatch(self):
+        """The failure stage belongs to the call, not the receiver: a
+        nested process() from inside a handler must not reset the outer
+        call's stage, or the handler's own exception lands as "decode"."""
+        sender, receiver = make_receiver()
+
+        def reentrant_handler(record):
+            if record.n == 1:
+                receiver.process(sender.encode(EVT, {"n": 2}))
+                raise ValueError("application bug after a nested call")
+
+        receiver.register_handler(EVT, reentrant_handler)
+        assert receiver.process(sender.encode(EVT, {"n": 1})) is None
+        (letter,) = receiver.dead_letters
+        assert letter.stage == "dispatch"
+        assert "after a nested call" in letter.error
+
     def test_healthy_traffic_flows_around_failures(self):
         sender, receiver = make_receiver()
         seen = []

@@ -195,16 +195,6 @@ class TestCaching:
         tag, _ = receiver.process(wire)
         assert tag == "v2"  # the better (exact) handler now wins
 
-    def test_process_record_path(self, echo_registry, v1, v2):
-        receiver = MorphReceiver(echo_registry)
-        got = []
-        receiver.register_handler(v1, got.append)
-        rec = response_v2(2)
-        receiver.process_record(v2, rec)
-        receiver.process_record(v2, rec)
-        assert len(got) == 2
-        assert receiver.stats.cache_hits == 1
-
 
 class TestCompatibilitySpace:
     def test_expansion_via_transforms(self, echo_registry, v0, v1, v2):
