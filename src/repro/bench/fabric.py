@@ -500,10 +500,6 @@ class FabricRecoveryRow:
         return self.lost == 0 and self.delivered == self.published
 
 
-def _recovery_noop() -> None:
-    """Clock pacer for the recovery pump (see check_crash_chaos)."""
-
-
 def _recovery_row(
     crash_fraction: float, journaled: bool, messages: int, seed: int
 ) -> FabricRecoveryRow:
@@ -523,12 +519,9 @@ def _recovery_row(
         journal=JournalStore() if journaled else None,
         lease_timeout=0.6,
     )
-    workers = {
-        address: fabric.add_worker(
-            address, reliable_options=dict(reliable_options)
-        )
-        for address in ("w1", "w2", "w3")
-    }
+    for address in ("w1", "w2", "w3"):
+        fabric.add_worker(address, reliable_options=dict(reliable_options))
+    workers = fabric.workers
     pub = fabric.client("pub", reliable_options=dict(reliable_options))
     sub = fabric.client("sub", reliable_options=dict(reliable_options))
     channels = [f"recovery/{i}" for i in range(4)]
@@ -538,16 +531,6 @@ def _recovery_row(
             channel_id, RESPONSE_V0,
             lambda c, p, s, r: delivered_ids.append(r["channel_id"]),
         )
-
-    def pump(steps: int, step: float = 0.05) -> None:
-        # Heartbeats are driven here, not by recurring timers, so the
-        # simulated network can still fully quiesce at the end.
-        for _ in range(steps):
-            for worker in workers.values():
-                worker.heartbeat()
-            fabric.directory.check_leases()
-            net.call_later(step, _recovery_noop)
-            net.run(max_time=net.now + step)
 
     sent = 0
 
@@ -562,20 +545,20 @@ def _recovery_row(
                         _bench_record(f"evt-{sent}", members=4))
             sent += 1
 
-    pump(4)  # let subscriptions install fleet-wide
+    fabric.pump(4)  # let subscriptions install fleet-wide
     victim_address = fabric.directory.owner(channels[0])
     victim = workers[victim_address]
     crash_point = max(1, min(messages - 1, int(messages * crash_fraction)))
 
     publish(crash_point)             # pre-crash traffic
-    pump(2)                          # partial drain: leave in-flight work
+    fabric.pump(2)                   # partial drain: leave in-flight work
     crash_time = net.now
     fabric.crash_worker(victim_address)
     publish(messages - crash_point)  # outage traffic (client redrive path)
 
     recovered_at = None
     for _ in range(40):              # past the lease deadline + recovery
-        pump(1)
+        fabric.pump(1)
         if victim_address in fabric.directory.workers:
             continue
         assignment = fabric.directory.assignment
@@ -590,11 +573,11 @@ def _recovery_row(
         (recovered_at if recovered_at is not None else net.now) - crash_time
     )
 
-    pump(4)
+    fabric.pump(4)
     victim.restart()
     if victim_address not in fabric.directory.workers:
         fabric.directory.join(victim)
-    pump(10)                         # rejoin handoffs + buffered redrives
+    fabric.pump(10)                  # rejoin handoffs + buffered redrives
     net.run()                        # full drain
 
     unique = len(set(delivered_ids))

@@ -3,7 +3,8 @@
 The paper's pitch is that evolution support can ride on the *existing*
 binary meta-data with no extra runtime machinery; the implied contract is
 that every layer below morphing stays honest under hostile inputs.  This
-package checks that contract mechanically, with four seeded oracles:
+package checks that contract mechanically, with nine seeded oracles
+(``docs/TESTING.md`` catalogs them all), among them:
 
 * **roundtrip** — random formats/records: generic encode/decode
   (:mod:`repro.pbio.encode` / :mod:`repro.pbio.decode`) must agree

@@ -17,12 +17,7 @@ import argparse
 import sys
 
 from repro.check.corpus import Corpus
-from repro.check.runner import (
-    BUDGET_SPLIT,
-    CheckRunner,
-    replay_corpus,
-    to_json,
-)
+from repro.check.runner import ORACLES, CheckRunner, replay_corpus, to_json
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -40,7 +35,7 @@ def main(argv: "list[str] | None" = None) -> int:
                              "inputs into")
     parser.add_argument("--replay", default=None, metavar="DIR",
                         help="replay a crash corpus instead of fuzzing")
-    parser.add_argument("--oracle", default=None, choices=sorted(BUDGET_SPLIT),
+    parser.add_argument("--oracle", default=None, choices=sorted(ORACLES),
                         help="focus the whole budget on one oracle "
                              "(e.g. the reliability chaos smoke)")
     parser.add_argument("--transport", default="sim",

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro import obs
 from repro.check import gen
@@ -54,6 +55,49 @@ class Finding:
     oracle: str
     detail: str
     entry: Optional[Dict[str, Any]] = None
+
+
+@dataclass
+class _Case:
+    """The findings of one oracle case.  :meth:`flag` records a finding
+    whose corpus entry is the case's base *entry* plus the finding's
+    detail (no entry when the case has none)."""
+
+    oracle: str
+    entry: Optional[Dict[str, Any]] = None
+    findings: List[Finding] = field(default_factory=list)
+
+    def flag(self, detail: str) -> None:
+        entry = None if self.entry is None else dict(self.entry, detail=detail)
+        self.findings.append(Finding(self.oracle, detail, entry))
+
+    def settle(self, net: Any, arm: str = "") -> None:
+        """Close out one deployment: its network must have quiesced
+        without containing a handler exception.  Releases the transport."""
+        where = f"{arm} network" if arm else "network"
+        if net.pending:
+            self.flag(f"{where} did not quiesce: {net.pending} events "
+                      f"still queued")
+        if net.handler_errors:
+            self.flag(f"{where} contained {net.handler_errors} handler "
+                      f"exceptions during the scenario")
+        closer = getattr(net, "close", None)
+        if closer is not None:
+            closer()
+
+
+@contextmanager
+def _isolated_obs() -> Iterator[Registry]:
+    """Run a deployment with observability on over a fresh metrics
+    registry (yielded), restoring the process-global state afterwards —
+    also when the deployment raises."""
+    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
+    metrics = Registry()
+    obs.enable(registry=metrics)
+    try:
+        yield metrics
+    finally:
+        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
 
 
 def make_network(
@@ -246,8 +290,16 @@ def check_mutation(rng: random.Random, rounds: int = 4) -> "tuple[int, List[Find
 # ---------------------------------------------------------------------------
 
 
-def check_ecode(rng: random.Random) -> List[Finding]:
-    source = gen.random_program(rng)
+def check_ecode_program(
+    source: str, draw_inputs: Callable[[], Dict[str, int]]
+) -> List[Finding]:
+    """The ECode differential, shared with corpus replay: both front-ends
+    must accept or reject *source* alike, and when both accept it, the
+    compiled and interpreted procedures must agree on ``draw_inputs()``
+    (same value and ``old`` record, or both raise ECodeError)."""
+    entry: Dict[str, Any] = {"kind": "ecode", "program": source,
+                             "expectation": "frontends_agree"}
+    case = _Case("ecode", entry)
 
     def build(factory):
         try:
@@ -260,23 +312,14 @@ def check_ecode(rng: random.Random) -> List[Finding]:
     compiled_kind, compiled = build(compile_procedure)
     interp_kind, interp = build(interpret_procedure)
     if compiled_kind != interp_kind or compiled_kind == "dirty":
-        return [Finding(
-            oracle="ecode",
-            detail=(
-                f"front-end divergence: compile={compiled_kind} "
-                f"interpret={interp_kind}"
-            ),
-            entry={"kind": "ecode", "program": source,
-                   "expectation": "frontends_agree"},
-        )]
+        case.flag(f"front-end divergence: compile={compiled_kind} "
+                  f"interpret={interp_kind}")
+        return case.findings
     if compiled_kind == "clean":
         return []  # both rejected the program — agreement
 
-    inputs = {
-        "a": rng.choice(gen._EDGE_LITERALS + [rng.randint(-10**6, 10**6)]),
-        "b": rng.choice([0, 1, -1, rng.randint(-10**4, 10**4)]),
-        "c": rng.randint(-100, 100),
-    }
+    inputs = draw_inputs()
+    entry.update(inputs=inputs, expectation="interp_matches_codegen")
 
     def run(proc):
         new = Record(copy.deepcopy(inputs))
@@ -290,28 +333,22 @@ def check_ecode(rng: random.Random) -> List[Finding]:
 
     c_kind, c_val = run(compiled)
     i_kind, i_val = run(interp)
-    entry = {"kind": "ecode", "program": source, "inputs": inputs,
-             "expectation": "interp_matches_codegen"}
     if "dirty" in (c_kind, i_kind):
-        return [Finding(
-            oracle="ecode",
-            detail=f"raw exception leaked: compiled={c_kind} interp={i_kind} "
-                   f"({c_val!r} / {i_val!r})",
-            entry=entry,
-        )]
-    if c_kind != i_kind:
-        return [Finding(
-            oracle="ecode",
-            detail=f"outcome divergence: compiled={c_kind} interp={i_kind}",
-            entry=entry,
-        )]
-    if c_kind == "ok" and c_val != i_val:
-        return [Finding(
-            oracle="ecode",
-            detail=f"value divergence: compiled={c_val!r} interp={i_val!r}",
-            entry=entry,
-        )]
-    return []
+        case.flag(f"raw exception leaked: compiled={c_kind} interp={i_kind} "
+                  f"({c_val!r} / {i_val!r})")
+    elif c_kind != i_kind:
+        case.flag(f"outcome divergence: compiled={c_kind} interp={i_kind}")
+    elif c_kind == "ok" and c_val != i_val:
+        case.flag(f"value divergence: compiled={c_val!r} interp={i_val!r}")
+    return case.findings
+
+
+def check_ecode(rng: random.Random) -> List[Finding]:
+    return check_ecode_program(gen.random_program(rng), lambda: {
+        "a": rng.choice(gen._EDGE_LITERALS + [rng.randint(-10**6, 10**6)]),
+        "b": rng.choice([0, 1, -1, rng.randint(-10**4, 10**4)]),
+        "c": rng.randint(-100, 100),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +380,13 @@ def check_fusion_wires(
     #: per wire: the fused arm's delivered record, or what it raised
     per_message: List[Any] = []
 
-    findings: List[Finding] = []
-
-    def flag(detail: str) -> None:
-        entry = dict(entry_base) if entry_base is not None else None
-        if entry is not None:
-            entry.setdefault("kind", "fusion")
-            entry["detail"] = detail
-            entry["wires_hex"] = [w.hex() for w in wires]
-            entry["expectation"] = "fused_matches_staged"
-        findings.append(Finding(oracle="fusion", detail=detail, entry=entry))
+    entry = None
+    if entry_base is not None:
+        entry = dict(entry_base, wires_hex=[w.hex() for w in wires],
+                     expectation="fused_matches_staged")
+        entry.setdefault("kind", "fusion")
+    case = _Case("fusion", entry)
+    flag = case.flag
 
     for index, wire in enumerate(wires):
         delivered = len(fused_out)
@@ -393,7 +427,7 @@ def check_fusion_wires(
              f"staged={staged_rx.stats.snapshot()}")
     if wires:
         _check_contained_batch(registry, handler_fmt, wires, per_message, flag)
-    return findings
+    return case.findings
 
 
 #: the stage a containing receiver files each error class under (any
@@ -480,6 +514,8 @@ def check_fusion(rng: random.Random, messages: int = 5) -> List[Finding]:
     return check_fusion_wires(registry, handler_fmt, wires, entry_base)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Oracle 5: morph chains over a lossy, reordering transport
 # ---------------------------------------------------------------------------
@@ -493,12 +529,26 @@ def _reference_chain(reader_version: str) -> List[Transformation]:
     return chain
 
 
-def check_morph(rng: random.Random, messages: int = 6) -> List[Finding]:
-    """Drive V2 ChannelOpenResponse traffic through a lossy, jittery link
-    to a V0/V1 reader; verify delivered records against the interpreted
-    chain and reconcile every counter (receiver stats, transport tallies,
-    repro.obs counters)."""
-    reader_version = rng.choice(["0.0", "1.0"])
+def check_morph_stream(
+    net_seed: int,
+    loss_rate: float,
+    jitter: float,
+    reader_version: str,
+    messages: int,
+    records_seed: int,
+) -> List[Finding]:
+    """Drive *messages* random V2 ChannelOpenResponse records (drawn from
+    *records_seed*) through a lossy, jittery link to a *reader_version*
+    reader; verify delivered records against the interpreted chain and
+    reconcile every counter (receiver stats, transport tallies, repro.obs
+    counters)."""
+    case = _Case("morph", {
+        "kind": "morph", "net_seed": net_seed, "loss_rate": loss_rate,
+        "jitter": jitter, "reader_version": reader_version,
+        "messages": messages, "records_seed": records_seed,
+        "expectation": "morph_invariants",
+    })
+    flag = case.flag
     reader_fmt = RESPONSE_V0 if reader_version == "0.0" else RESPONSE_V1
 
     registry = FormatRegistry()
@@ -509,21 +559,15 @@ def check_morph(rng: random.Random, messages: int = 6) -> List[Finding]:
     delivered: List[Record] = []
     receiver.register_handler(reader_fmt, delivered.append)
 
-    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-    metrics = Registry()
-    obs.enable(registry=metrics)
-    try:
-        net = Network(seed=rng.randrange(2**31), default_link=LinkSpec(
-            loss_rate=rng.choice([0.0, 0.2, 0.5]),
-            jitter=rng.choice([0.0, 0.01]),
-        ))
+    records = random.Random(records_seed)
+    originals: Dict[str, Record] = {}
+    with _isolated_obs() as metrics:
+        net = make_network("sim", net_seed, loss_rate, jitter)
         net.add_node("writer")
         reader_node = net.add_node("reader")
         reader_node.set_handler(lambda _src, data: receiver.process(data))
-
-        originals: Dict[str, Record] = {}
         for index in range(messages):
-            rec = gen.random_record(rng, RESPONSE_V2)
+            rec = gen.random_record(records, RESPONSE_V2)
             rec["channel_id"] = f"ch{index}"
             originals[rec["channel_id"]] = rec
             net.node("writer").send("reader", encode_record(RESPONSE_V2, rec))
@@ -531,17 +575,6 @@ def check_morph(rng: random.Random, messages: int = 6) -> List[Finding]:
         lost_counter = metrics.counter(
             "net.transport.lost", source="writer", destination="reader"
         ).value
-    finally:
-        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
-
-    findings: List[Finding] = []
-
-    def flag(detail: str) -> None:
-        findings.append(Finding(
-            oracle="morph", detail=detail,
-            entry={"kind": "morph", "reader_version": reader_version,
-                   "detail": detail, "expectation": "morph_invariants"},
-        ))
 
     stats = receiver.stats
     if net.messages_sent != len(delivered) + net.lost + net.dropped:
@@ -577,11 +610,25 @@ def check_morph(rng: random.Random, messages: int = 6) -> List[Finding]:
         if not records_equal(record, reference):
             flag(f"morphed record for {channel!r} diverges from the "
                  f"interpreted reference chain")
-    return findings
+    case.settle(net)
+    return case.findings
+
+
+def check_morph(rng: random.Random, messages: int = 6) -> List[Finding]:
+    """One randomized morph case: a seeded V2 stream to a V0 or V1
+    reader over a lossy, jittery link."""
+    reader_version = rng.choice(["0.0", "1.0"])
+    net_seed = rng.randrange(2**31)
+    loss_rate = rng.choice([0.0, 0.2, 0.5])
+    jitter = rng.choice([0.0, 0.01])
+    return check_morph_stream(
+        net_seed, loss_rate, jitter, reader_version, messages,
+        records_seed=rng.randrange(2**31),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Oracle 6: reliable delivery & format-server failover
+# The ReliEvt deployment shared by oracles 6-9
 # ---------------------------------------------------------------------------
 
 #: A three-revision event format family with retro-transform chain
@@ -610,24 +657,121 @@ _EVT_V1_TO_V0 = TransformSpec(
     description="ReliEvt 1.0 -> 0.0",
 )
 
+#: Format-fleet settings: lossy-link timeouts must not trip the
+#: servers' circuit breakers, and lookups retry quickly.
+_FLEET_BREAKER_THRESHOLD = 1_000_000
+_FLEET_REQUEST_TIMEOUT = 0.5
+
+
+def _evt_registry() -> FormatRegistry:
+    """A registry holding the ReliEvt retro-transform chain."""
+    registry = FormatRegistry()
+    registry.register_transform(_EVT_V2_TO_V1)
+    registry.register_transform(_EVT_V1_TO_V0)
+    return registry
+
+
+def _deploy(
+    net: Any,
+    sinks: Dict[str, IOFormat],
+    fleet: bool = False,
+    crash_primary: bool = False,
+    idle: Iterable[str] = (),
+) -> "tuple[Dict[str, Any], Dict[str, List[int]]]":
+    """Stand up the ReliEvt deployment on *net*, every process on a
+    reliable endpoint: a V2 creator and source plus one sink per
+    ``address: format`` in *sinks*, at that format's version.  Formats
+    resolve through one shared registry, or with *fleet* through a
+    primary/standby format-server pair the source uploads the V2 format
+    and its retro chain to; *crash_primary* then closes the primary once
+    the upload is mirrored.  The creator opens channel ``"ch"``, the
+    source and every sink not in *idle* join it, and once membership
+    settles each joined sink subscribes in its own format.
+
+    Returns ``(processes by address, delivered event numbers by joined
+    sink)``."""
+    from repro.echo.process import EChoProcess
+    from repro.pbio.server import FormatServer
+
+    registry: Optional[FormatRegistry] = None
+    options: Dict[str, Any] = {}
+    if fleet:
+        primary = FormatServer(net, "fs-a", peer="fs-b", seed=1,
+                               breaker_threshold=_FLEET_BREAKER_THRESHOLD)
+        FormatServer(net, "fs-b", seed=2,
+                     breaker_threshold=_FLEET_BREAKER_THRESHOLD)
+        options = {
+            "format_servers": ["fs-a", "fs-b"],
+            "resolver_options": {"request_timeout": _FLEET_REQUEST_TIMEOUT},
+        }
+    else:
+        registry = _evt_registry()
+    formats = dict({"creator": _EVT_V2, "source": _EVT_V2}, **sinks)
+    procs = {
+        address: EChoProcess(net, address, registry, version=fmt.version,
+                             reliable=True, **options)
+        for address, fmt in formats.items()
+    }
+    if fleet:
+        procs["source"].resolver.register(
+            _EVT_V2, transforms=[_EVT_V2_TO_V1, _EVT_V1_TO_V0]
+        )
+        net.run()
+        if crash_primary:
+            primary.close()
+    procs["creator"].create_channel("ch")
+    procs["source"].open_channel("ch", "creator", as_source=True)
+    joined = [address for address in sinks if address not in idle]
+    for address in joined:
+        procs[address].open_channel("ch", "creator", as_sink=True)
+    net.run()
+
+    got: Dict[str, List[int]] = {}
+    for address in joined:
+        out = got[address] = []
+        procs[address].subscribe(
+            "ch", sinks[address], lambda r, out=out: out.append(r["n"])
+        )
+    return procs, got
+
+
+def _publish(source: Any, numbers: Iterable[int], batch_size: int = 0) -> None:
+    """Submit ReliEvt events *numbers* on ``"ch"``: one at a time, or as
+    BATCH1 frames of *batch_size*."""
+    stream = [_EVT_V2.make_record(n=n, extra=2 * n, flag=1) for n in numbers]
+    if not batch_size:
+        for rec in stream:
+            source.submit("ch", _EVT_V2, rec)
+        return
+    for start in range(0, len(stream), batch_size):
+        source.submit_batch("ch", _EVT_V2, stream[start:start + batch_size])
+
 
 def _assert_exactly_once(
     flag: Callable[[str], None],
     name: str,
     got: List[int],
     messages: int,
+    ordered: bool = False,
+    allow_loss: bool = False,
 ) -> None:
-    expected = set(range(messages))
+    """*got* must hold each event ``0..messages-1`` exactly once, and in
+    publish order when *ordered*.  With *allow_loss* (a control arm that
+    runs without journaling) gaps are expected, but duplicated or
+    invented events are still findings."""
+    expected = list(range(messages))
     if len(got) != len(set(got)):
         dups = sorted({n for n in got if got.count(n) > 1})
         flag(f"{name} saw duplicate events {dups[:5]}")
-    missing = expected - set(got)
-    if missing:
+    missing = set(expected) - set(got)
+    if missing and not allow_loss:
         flag(f"{name} has delivery gaps: missing {sorted(missing)[:5]} "
              f"({len(missing)} of {messages})")
-    extra = set(got) - expected
+    extra = set(got) - set(expected)
     if extra:
         flag(f"{name} delivered unpublished events {sorted(extra)[:5]}")
+    if ordered and sorted(got) == expected and got != expected:
+        flag(f"{name} delivered out of order: {got[:8]}...")
 
 
 def _reconcile_endpoint(flag: Callable[[str], None], proc) -> None:
@@ -647,6 +791,24 @@ def _reconcile_endpoint(flag: Callable[[str], None], proc) -> None:
              f"{counters['acked']}")
 
 
+def _assert_resolved(
+    flag: Callable[[str], None], procs: Iterable[Any], context: str
+) -> None:
+    """Processes resolving through a format fleet with a live server must
+    never drop a message as unresolvable or degrade their resolver."""
+    for proc in procs:
+        if proc.unresolved:
+            flag(f"{proc.address} dropped {proc.unresolved} messages as "
+                 f"unresolvable {context}")
+        if proc.resolver.degraded:
+            flag(f"{proc.address} resolver is degraded {context}")
+
+
+# ---------------------------------------------------------------------------
+# Oracle 6: reliable delivery & format-server failover
+# ---------------------------------------------------------------------------
+
+
 def check_reliability_chain(
     net_seed: int, loss_rate: float, jitter: float, messages: int,
     transport: str = "sim",
@@ -656,74 +818,30 @@ def check_reliability_chain(
     everything on reliable endpoints; every event must arrive exactly
     once at both sinks (morphed down their revision), and every
     endpoint's counters must reconcile."""
-    from repro.echo.process import EChoProcess
-
-    findings: List[Finding] = []
-    base_entry = {
+    case = _Case("reliability", {
         "kind": "reliability", "scenario": "chain", "net_seed": net_seed,
         "loss_rate": loss_rate, "jitter": jitter, "messages": messages,
         "transport": transport, "expectation": "exactly_once",
-    }
-
-    def flag(detail: str) -> None:
-        entry = dict(base_entry)
-        entry["detail"] = detail
-        findings.append(Finding(oracle="reliability", detail=detail,
-                                entry=entry))
-
-    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-    obs.enable(registry=Registry())
-    net = make_network(transport, net_seed, loss_rate, jitter)
-    try:
-        registry = FormatRegistry()
-        registry.register_transform(_EVT_V2_TO_V1)
-        registry.register_transform(_EVT_V1_TO_V0)
-        creator = EChoProcess(net, "creator", registry, version="2.0",
-                              reliable=True)
-        source = EChoProcess(net, "source", registry, version="2.0",
-                             reliable=True)
-        sink1 = EChoProcess(net, "sink1", registry, version="1.0",
-                            reliable=True)
-        sink0 = EChoProcess(net, "sink0", registry, version="0.0",
-                            reliable=True)
-        creator.create_channel("ch")
-        source.open_channel("ch", "creator", as_source=True)
-        sink1.open_channel("ch", "creator", as_sink=True)
-        sink0.open_channel("ch", "creator", as_sink=True)
+    })
+    with _isolated_obs():
+        net = make_network(transport, net_seed, loss_rate, jitter)
+        procs, got = _deploy(net, {"sink1": _EVT_V1, "sink0": _EVT_V0})
+        _publish(procs["source"], range(messages))
         net.run()
 
-        got1: List[int] = []
-        got0: List[int] = []
-        sink1.subscribe("ch", _EVT_V1, lambda r: got1.append(r["n"]))
-        sink0.subscribe("ch", _EVT_V0, lambda r: got0.append(r["n"]))
-        for n in range(messages):
-            source.submit(
-                "ch", _EVT_V2, _EVT_V2.make_record(n=n, extra=2 * n, flag=1)
-            )
-        net.run()
-    finally:
-        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
-
-    if not source.channel("ch").ready:
-        flag("source membership never became ready")
-    _assert_exactly_once(flag, "sink1", got1, messages)
-    _assert_exactly_once(flag, "sink0", got0, messages)
-    for proc in (creator, source, sink1, sink0):
-        _reconcile_endpoint(flag, proc)
-    for sink, got in ((sink1, got1), (sink0, got0)):
-        stats = sink.event_receiver("ch").stats
-        if stats.messages != len(got):
-            flag(f"{sink.address} receiver saw {stats.messages} messages "
-                 f"but its handler got {len(got)}")
-    if net.pending:
-        flag(f"network did not quiesce: {net.pending} events still queued")
-    if net.handler_errors:
-        flag(f"{net.handler_errors} handler exceptions were contained by "
-             f"the transport during a healthy-path run")
-    closer = getattr(net, "close", None)
-    if closer is not None:
-        closer()
-    return findings
+    if not procs["source"].channel("ch").ready:
+        case.flag("source membership never became ready")
+    for name, delivered in got.items():
+        _assert_exactly_once(case.flag, name, delivered, messages)
+    for proc in procs.values():
+        _reconcile_endpoint(case.flag, proc)
+    for name, delivered in got.items():
+        stats = procs[name].event_receiver("ch").stats
+        if stats.messages != len(delivered):
+            case.flag(f"{name} receiver saw {stats.messages} messages "
+                      f"but its handler got {len(delivered)}")
+    case.settle(net)
+    return case.findings
 
 
 def check_reliability_failover(
@@ -738,80 +856,27 @@ def check_reliability_failover(
     primary/standby fleet; the primary crashes after the writer's
     registrations are mirrored, and the chain must still deliver every
     event exactly once by failing over to the standby."""
-    from repro.echo.process import EChoProcess
-    from repro.pbio.server import FormatServer
-
-    findings: List[Finding] = []
-    base_entry = {
+    case = _Case("reliability", {
         "kind": "reliability", "scenario": "failover", "net_seed": net_seed,
         "loss_rate": loss_rate, "jitter": jitter, "messages": messages,
         "crash_primary": crash_primary, "transport": transport,
         "expectation": "exactly_once",
-    }
-
-    def flag(detail: str) -> None:
-        entry = dict(base_entry)
-        entry["detail"] = detail
-        findings.append(Finding(oracle="reliability", detail=detail,
-                                entry=entry))
-
-    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-    obs.enable(registry=Registry())
-    net = make_network(transport, net_seed, loss_rate, jitter)
-    try:
-        big = 1_000_000  # lossy-link timeouts must not trip server breakers
-        primary = FormatServer(net, "fs-a", peer="fs-b", seed=1,
-                               breaker_threshold=big)
-        FormatServer(net, "fs-b", seed=2, breaker_threshold=big)
-        servers = ["fs-a", "fs-b"]
-        options = {"request_timeout": 0.5}
-        creator = EChoProcess(net, "creator", version="2.0", reliable=True,
-                              format_servers=servers,
-                              resolver_options=options)
-        source = EChoProcess(net, "source", version="2.0", reliable=True,
-                             format_servers=servers,
-                             resolver_options=options)
-        sink = EChoProcess(net, "sink", version="0.0", reliable=True,
-                           format_servers=servers, resolver_options=options)
-        # the writer uploads the event formats and the retro chain
-        source.resolver.register(
-            _EVT_V2, transforms=[_EVT_V2_TO_V1, _EVT_V1_TO_V0]
-        )
-        net.run()
-        if crash_primary:
-            primary.close()
-        creator.create_channel("ch")
-        source.open_channel("ch", "creator", as_source=True)
-        sink.open_channel("ch", "creator", as_sink=True)
+    })
+    with _isolated_obs():
+        net = make_network(transport, net_seed, loss_rate, jitter)
+        procs, got = _deploy(net, {"sink": _EVT_V0}, fleet=True,
+                             crash_primary=crash_primary)
+        _publish(procs["source"], range(messages))
         net.run()
 
-        got: List[int] = []
-        sink.subscribe("ch", _EVT_V0, lambda r: got.append(r["n"]))
-        for n in range(messages):
-            source.submit(
-                "ch", _EVT_V2, _EVT_V2.make_record(n=n, extra=2 * n, flag=1)
-            )
-        net.run()
-    finally:
-        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
-
-    _assert_exactly_once(flag, "sink", got, messages)
-    for proc in (creator, source, sink):
-        if proc.unresolved:
-            flag(f"{proc.address} dropped {proc.unresolved} messages as "
-                 f"unresolvable despite a live standby")
-        if proc.resolver.degraded:
-            flag(f"{proc.address} resolver is degraded despite a live "
-                 f"standby")
-    if crash_primary and sink.resolver.stats["failovers"] == 0 \
-            and sink.resolver.stats["lookups_sent"] > 0:
-        flag("primary crashed but the sink resolver never failed over")
-    if net.pending:
-        flag(f"network did not quiesce: {net.pending} events still queued")
-    closer = getattr(net, "close", None)
-    if closer is not None:
-        closer()
-    return findings
+    _assert_exactly_once(case.flag, "sink", got["sink"], messages)
+    _assert_resolved(case.flag, procs.values(), "despite a live standby")
+    resolver = procs["sink"].resolver
+    if crash_primary and resolver.stats["failovers"] == 0 \
+            and resolver.stats["lookups_sent"] > 0:
+        case.flag("primary crashed but the sink resolver never failed over")
+    case.settle(net)
+    return case.findings
 
 
 def check_reliability(
@@ -851,94 +916,47 @@ def check_batching_parity(
     and push counters must agree, every endpoint must reconcile, and in
     the batched arm every frame-level trace must flow unbroken into the
     deliveries it covers."""
-    from repro.echo.process import EChoProcess
     from repro.obs.tracing import find_spans
 
-    findings: List[Finding] = []
-    base_entry = {
+    case = _Case("batching", {
         "kind": "batching", "scenario": "parity", "net_seed": net_seed,
         "loss_rate": loss_rate, "jitter": jitter, "messages": messages,
         "batch_size": batch_size, "transport": transport,
         "expectation": "batched_matches_single",
-    }
-
-    def flag(detail: str) -> None:
-        entry = dict(base_entry)
-        entry["detail"] = detail
-        findings.append(Finding(oracle="batching", detail=detail,
-                                entry=entry))
+    })
+    flag = case.flag
 
     def run_arm(batched: bool):
         """Stand up one deployment and push the stream; returns
-        ``(source, sinks, got-lists, span-tree, network)``."""
-        prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-        obs.enable(registry=Registry())
-        net = make_network(transport, net_seed, loss_rate, jitter)
-        try:
-            registry = FormatRegistry()
-            registry.register_transform(_EVT_V2_TO_V1)
-            registry.register_transform(_EVT_V1_TO_V0)
-            creator = EChoProcess(net, "creator", registry, version="2.0",
-                                  reliable=True)
-            source = EChoProcess(net, "source", registry, version="2.0",
-                                 reliable=True)
-            sink1 = EChoProcess(net, "sink1", registry, version="1.0",
-                                reliable=True)
-            sink0 = EChoProcess(net, "sink0", registry, version="0.0",
-                                reliable=True)
-            creator.create_channel("ch")
-            source.open_channel("ch", "creator", as_source=True)
-            sink1.open_channel("ch", "creator", as_sink=True)
-            sink0.open_channel("ch", "creator", as_sink=True)
+        ``(processes, got-lists, span-tree, network)``."""
+        with _isolated_obs():
+            net = make_network(transport, net_seed, loss_rate, jitter)
+            procs, got = _deploy(net, {"sink1": _EVT_V1, "sink0": _EVT_V0})
+            _publish(procs["source"], range(messages),
+                     batch_size if batched else 0)
             net.run()
+            return procs, got, obs.get_tracer().tree(), net
 
-            got1: List[int] = []
-            got0: List[int] = []
-            sink1.subscribe("ch", _EVT_V1, lambda r: got1.append(r["n"]))
-            sink0.subscribe("ch", _EVT_V0, lambda r: got0.append(r["n"]))
-            stream = [
-                _EVT_V2.make_record(n=n, extra=2 * n, flag=1)
-                for n in range(messages)
-            ]
-            if batched:
-                for start in range(0, messages, batch_size):
-                    source.submit_batch(
-                        "ch", _EVT_V2, stream[start:start + batch_size]
-                    )
-            else:
-                for rec in stream:
-                    source.submit("ch", _EVT_V2, rec)
-            net.run()
-            tree = obs.get_tracer().tree()
-        finally:
-            obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
-        return (creator, source, sink1, sink0), (got1, got0), tree, net
+    arms = {"single": run_arm(batched=False), "batched": run_arm(batched=True)}
+    single_procs, single_got, _, _ = arms["single"]
+    batch_procs, batch_got, batch_tree, _ = arms["batched"]
 
-    single_procs, single_got, _tree, single_net = run_arm(batched=False)
-    batch_procs, batch_got, batch_tree, batch_net = run_arm(batched=True)
-
-    expected = list(range(messages))
-    for arm, (got1, got0) in (("single", single_got), ("batched", batch_got)):
-        for name, got in ((f"{arm}/sink1", got1), (f"{arm}/sink0", got0)):
-            _assert_exactly_once(flag, name, got, messages)
-            if sorted(got) == expected and got != expected:
-                flag(f"{name} delivered out of order: {got[:8]}...")
-    for (sg, bg), sink in zip(zip(single_got, batch_got), ("sink1", "sink0")):
-        if sg != bg:
-            flag(f"{sink} arms diverge: single={sg[:8]} batched={bg[:8]}")
-
-    for arm, procs in (("single", single_procs), ("batched", batch_procs)):
-        for proc in procs:
+    for arm, (procs, got, _tree, _net) in arms.items():
+        for name, delivered in got.items():
+            _assert_exactly_once(flag, f"{arm}/{name}", delivered, messages,
+                                 ordered=True)
+        for proc in procs.values():
             _reconcile_endpoint(
                 lambda d: flag(f"{arm}: {d}"), proc  # noqa: B023
             )
-    single_source, batch_source = single_procs[1], batch_procs[1]
-    for sink_name in ("sink1", "sink0"):
-        idx = 2 if sink_name == "sink1" else 3
-        s_stats = single_procs[idx].event_receiver("ch").stats
-        b_stats = batch_procs[idx].event_receiver("ch").stats
+    for name in ("sink1", "sink0"):
+        if single_got[name] != batch_got[name]:
+            flag(f"{name} arms diverge: single={single_got[name][:8]} "
+                 f"batched={batch_got[name][:8]}")
+        s_stats = single_procs[name].event_receiver("ch").stats
+        b_stats = batch_procs[name].event_receiver("ch").stats
         if s_stats.messages != b_stats.messages:
-            flag(f"{sink_name} receiver stats diverge: "
+            flag(f"{name} receiver stats diverge: "
                  f"single={s_stats.messages} batched={b_stats.messages}")
 
     # Trace continuity: each batched delivery must ride its frame's
@@ -959,16 +977,9 @@ def check_batching_parity(
                  "publish_batch span minted")
             break
 
-    for arm, net in (("single", single_net), ("batched", batch_net)):
-        if net.pending:
-            flag(f"{arm} network did not quiesce: {net.pending} queued")
-        if net.handler_errors:
-            flag(f"{arm}: {net.handler_errors} handler exceptions were "
-                 f"contained during a healthy-path run")
-        closer = getattr(net, "close", None)
-        if closer is not None:
-            closer()
-    return findings
+    for arm, (_procs, _got, _tree, net) in arms.items():
+        case.settle(net, arm)
+    return case.findings
 
 
 def check_batching(
@@ -1072,85 +1083,32 @@ def check_projection_pushdown(
     arrives default-filled in the negotiated arm.  The negotiated arm
     must also actually project (every send after the first handshake)
     and every endpoint must reconcile."""
-    from repro.echo.process import EChoProcess
-    from repro.pbio.server import FormatServer
-
-    findings: List[Finding] = []
-    base_entry = {
+    case = _Case("projection", {
         "kind": "projection", "scenario": "pushdown", "net_seed": net_seed,
         "loss_rate": loss_rate, "jitter": jitter, "messages": messages,
         "batch_size": batch_size, "transport": transport,
         "expectation": "projection_matches_full",
-    }
-
-    def flag(detail: str) -> None:
-        entry = dict(base_entry)
-        entry["detail"] = detail
-        findings.append(Finding(oracle="projection", detail=detail,
-                                entry=entry))
+    })
+    flag = case.flag
 
     def run_arm(negotiated: bool):
         """Stand up one deployment and run the churn script; returns
-        ``(procs, got-lists, projection-counters, network)``."""
-        prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-        obs.enable(registry=Registry())
-        net = make_network(transport, net_seed, loss_rate, jitter)
-        try:
-            if negotiated:
-                big = 1_000_000  # lossy links must not trip server breakers
-                FormatServer(net, "fs-a", peer="fs-b", seed=1,
-                             breaker_threshold=big)
-                FormatServer(net, "fs-b", seed=2, breaker_threshold=big)
-                kw: Dict[str, Any] = {
-                    "format_servers": ["fs-a", "fs-b"],
-                    "resolver_options": {"request_timeout": 0.5},
-                }
-                creator = EChoProcess(net, "creator", version="2.0",
-                                      reliable=True, **kw)
-                source = EChoProcess(net, "source", version="2.0",
-                                     reliable=True, **kw)
-                sink0 = EChoProcess(net, "sink0", version="0.0",
-                                    reliable=True, **kw)
-                sink1 = EChoProcess(net, "sink1", version="1.0",
-                                    reliable=True, **kw)
-                source.resolver.register(
-                    _EVT_V2, transforms=[_EVT_V2_TO_V1, _EVT_V1_TO_V0]
-                )
-            else:
-                registry = FormatRegistry()
-                registry.register_transform(_EVT_V2_TO_V1)
-                registry.register_transform(_EVT_V1_TO_V0)
-                creator = EChoProcess(net, "creator", registry,
-                                      version="2.0", reliable=True)
-                source = EChoProcess(net, "source", registry,
-                                     version="2.0", reliable=True)
-                sink0 = EChoProcess(net, "sink0", registry,
-                                    version="0.0", reliable=True)
-                sink1 = EChoProcess(net, "sink1", registry,
-                                    version="1.0", reliable=True)
-            net.run()
-            creator.create_channel("ch")
-            source.open_channel("ch", "creator", as_source=True)
-            sink0.open_channel("ch", "creator", as_sink=True)
-            net.run()
-
-            got0: List[int] = []
-            got1: List[Any] = []
-            sink0.subscribe("ch", _EVT_V0, lambda r: got0.append(r["n"]))
-
-            def publish(n: int) -> None:
-                source.submit(
-                    "ch", _EVT_V2,
-                    _EVT_V2.make_record(n=n, extra=2 * n, flag=1),
-                )
+        ``(processes, sink0 events, sink1 (n, extra) pairs,
+        projection counters, network)``."""
+        with _isolated_obs() as metrics:
+            net = make_network(transport, net_seed, loss_rate, jitter)
+            procs, got = _deploy(
+                net, {"sink0": _EVT_V0, "sink1": _EVT_V1},
+                fleet=negotiated, idle=("sink1",),
+            )
+            source, sink1 = procs["source"], procs["sink1"]
 
             # Phase 1 — narrow group.  The first event primes sink0's
             # interest announcement; the fence lets the narrowing
             # negotiate, and the next publish boundary promotes it.
-            publish(0)
+            _publish(source, [0])
             net.run()
-            for n in range(1, messages):
-                publish(n)
+            _publish(source, range(1, messages))
             net.run()
 
             # Phase 2 — widening join.  sink1's prime event reaches it
@@ -1158,62 +1116,55 @@ def check_projection_pushdown(
             # delivery); the fence widens the group union.
             sink1.open_channel("ch", "creator", as_sink=True)
             net.run()
+            got1: List[Any] = []
             sink1.subscribe(
                 "ch", _EVT_V1,
                 lambda r: got1.append((r["n"], r["extra"])),
             )
-            publish(messages)
+            _publish(source, [messages])
             net.run()
-            for n in range(messages + 1, 2 * messages):
-                publish(n)
+            _publish(source, range(messages + 1, 2 * messages))
             net.run()
 
             # Phase 3 — narrowing leave, published as BATCH1 frames so
             # the vectorized projected batch encoder is on the path.
             sink1.leave_channel("ch")
             net.run()
-            stream = [
-                _EVT_V2.make_record(n=n, extra=2 * n, flag=1)
-                for n in range(2 * messages, 3 * messages)
-            ]
-            for start in range(0, messages, batch_size):
-                source.submit_batch(
-                    "ch", _EVT_V2, stream[start:start + batch_size]
-                )
+            _publish(source, range(2 * messages, 3 * messages), batch_size)
             net.run()
 
             counters = {
-                "projected_sends": obs.OBS.metrics.counter(
-                    "net.projection.messages").value,
-                "bytes_saved": obs.OBS.metrics.counter(
-                    "net.projection.bytes_saved_est").value,
-                "routes": obs.OBS.metrics.counter(
-                    "morph.projection.routes").value,
+                key: metrics.counter(name).value
+                for key, name in (
+                    ("projected_sends", "net.projection.messages"),
+                    ("bytes_saved", "net.projection.bytes_saved_est"),
+                    ("routes", "morph.projection.routes"),
+                )
             }
-        finally:
-            obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
-        return (creator, source, sink0, sink1), (got0, got1), counters, net
+        return procs, got["sink0"], got1, counters, net
 
-    full_procs, full_got, full_counters, full_net = run_arm(negotiated=False)
-    proj_procs, proj_got, proj_counters, proj_net = run_arm(negotiated=True)
+    full_procs, full_got0, full_got1, full_counters, full_net = run_arm(
+        negotiated=False
+    )
+    proj_procs, proj_got0, proj_got1, proj_counters, proj_net = run_arm(
+        negotiated=True
+    )
 
     total = 3 * messages
-    for arm, (got0, _got1) in (("full", full_got), ("negotiated", proj_got)):
-        _assert_exactly_once(flag, f"{arm}/sink0", got0, total)
-        if sorted(got0) == list(range(total)) and got0 != list(range(total)):
-            flag(f"{arm}/sink0 delivered out of order: {got0[:8]}...")
-    if full_got[0] != proj_got[0]:
-        flag(f"sink0 arms diverge: full={full_got[0][:8]} "
-             f"negotiated={proj_got[0][:8]}")
+    for arm, got0 in (("full", full_got0), ("negotiated", proj_got0)):
+        _assert_exactly_once(flag, f"{arm}/sink0", got0, total, ordered=True)
+    if full_got0 != proj_got0:
+        flag(f"sink0 arms diverge: full={full_got0[:8]} "
+             f"negotiated={proj_got0[:8]}")
 
     expected1 = [(n, 2 * n) for n in range(messages, 2 * messages)]
-    if full_got[1] != expected1:
-        flag(f"full/sink1 stream wrong: {full_got[1][:8]}")
+    if full_got1 != expected1:
+        flag(f"full/sink1 stream wrong: {full_got1[:8]}")
     # The negotiated arm's prime is the one pinned divergence: it left
     # the source before the union widened, so `extra` default-fills.
     expected1_proj = [(messages, 0)] + expected1[1:]
-    if proj_got[1] != expected1_proj:
-        flag(f"negotiated/sink1 stream wrong: got {proj_got[1][:8]}, "
+    if proj_got1 != expected1_proj:
+        flag(f"negotiated/sink1 stream wrong: got {proj_got1[:8]}, "
              f"expected {expected1_proj[:8]}")
 
     # The negotiated arm must actually project: every event after the
@@ -1230,38 +1181,26 @@ def check_projection_pushdown(
              f"without a format-server fleet")
 
     for arm, procs in (("full", full_procs), ("negotiated", proj_procs)):
-        for proc in procs:
+        for proc in procs.values():
             _reconcile_endpoint(
                 lambda d: flag(f"{arm}: {d}"), proc  # noqa: B023
             )
     # sink1's receiver is discarded when it leaves the channel, so only
     # sink0's stats survive to compare (sink1's delivery list is already
     # pinned exactly above).
-    f_stats = full_procs[2].event_receiver("ch").stats
-    p_stats = proj_procs[2].event_receiver("ch").stats
+    f_stats = full_procs["sink0"].event_receiver("ch").stats
+    p_stats = proj_procs["sink0"].event_receiver("ch").stats
     if f_stats.messages != p_stats.messages:
         flag(f"sink0 receiver stats diverge: full={f_stats.messages} "
              f"negotiated={p_stats.messages}")
     if p_stats.messages != total:
         flag(f"sink0 receiver saw {p_stats.messages} messages, "
              f"expected {total}")
-    for proc in proj_procs:
-        if proc.unresolved:
-            flag(f"{proc.address} dropped {proc.unresolved} messages as "
-                 f"unresolvable during projection churn")
-        if proc.resolver.degraded:
-            flag(f"{proc.address} resolver degraded during projection churn")
+    _assert_resolved(flag, proj_procs.values(), "during projection churn")
 
-    for arm, net in (("full", full_net), ("negotiated", proj_net)):
-        if net.pending:
-            flag(f"{arm} network did not quiesce: {net.pending} queued")
-        if net.handler_errors:
-            flag(f"{arm}: {net.handler_errors} handler exceptions were "
-                 f"contained during a healthy-path run")
-        closer = getattr(net, "close", None)
-        if closer is not None:
-            closer()
-    return findings
+    case.settle(full_net, "full")
+    case.settle(proj_net, "negotiated")
+    return case.findings
 
 
 def check_projection(
@@ -1284,10 +1223,6 @@ def check_projection(
 # ---------------------------------------------------------------------------
 # Oracle 9: crash-resilience chaos (process kill, partition, ablation)
 # ---------------------------------------------------------------------------
-
-
-def _noop() -> None:
-    """Timer body used to force virtual-clock advancement in pump()."""
 
 
 def check_crash_chaos(
@@ -1322,40 +1257,27 @@ def check_crash_chaos(
 
     if scenario not in ("kill", "partition", "ablation"):
         raise ReproError(f"unknown crash scenario {scenario!r}")
-    findings: List[Finding] = []
-    base_entry = {
+    case = _Case("crash", {
         "kind": "crash", "scenario": scenario, "net_seed": net_seed,
         "loss_rate": loss_rate, "jitter": jitter, "messages": messages,
         "transport": transport, "expectation": "crash_exactly_once",
-    }
+    })
+    flag = case.flag
+    journaled = scenario != "ablation"
 
-    def flag(detail: str) -> None:
-        entry = dict(base_entry)
-        entry["detail"] = detail
-        findings.append(Finding(oracle="crash", detail=detail, entry=entry))
-
-    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-    obs.enable(registry=Registry())
-    net = make_network(transport, net_seed, loss_rate, jitter)
-    try:
-        registry = FormatRegistry()
-        registry.register_transform(_EVT_V2_TO_V1)
-        registry.register_transform(_EVT_V1_TO_V0)
-        journal = None if scenario == "ablation" else JournalStore()
+    with _isolated_obs():
+        net = make_network(transport, net_seed, loss_rate, jitter)
         # Short timeouts keep the crash-detection span (send-failure
         # discovery, stall skip) inside the scenario's virtual/real
         # time budget on both transports.
         reliable_options = {"base_timeout": 0.02, "max_retries": 5}
         fabric = EventFabric(
-            net, registry=registry, reliable=True, journal=journal,
+            net, registry=_evt_registry(), reliable=True,
+            journal=JournalStore() if journaled else None,
             lease_timeout=0.6,
         )
-        workers = {
-            address: fabric.add_worker(
-                address, reliable_options=dict(reliable_options)
-            )
-            for address in ("w1", "w2", "w3")
-        }
+        for address in ("w1", "w2", "w3"):
+            fabric.add_worker(address, reliable_options=dict(reliable_options))
         pub = fabric.client("pub", reliable_options=dict(reliable_options))
         sub1 = fabric.client("sub-v1", reliable_options=dict(reliable_options))
         sub0 = fabric.client("sub-v0", reliable_options=dict(reliable_options))
@@ -1367,22 +1289,6 @@ def check_crash_chaos(
                            lambda c, p, s, r: got1.append(r["n"]))
             sub0.subscribe(channel_id, _EVT_V0,
                            lambda c, p, s, r: got0.append(r["n"]))
-
-        def pump(steps: int, step: float = 0.05) -> None:
-            """Advance the deployment *steps* beats: every live worker
-            heartbeats, the directory sweeps leases, and the network
-            runs one *step* of (virtual or real) time.  Heartbeats are
-            driven here rather than by recurring timers so the
-            simulated network can still fully quiesce at the end."""
-            for _ in range(steps):
-                for worker in workers.values():
-                    worker.heartbeat()
-                fabric.directory.check_leases()
-                if transport == "sim":
-                    net.call_later(step, _noop)
-                    net.run(max_time=net.now + step)
-                else:
-                    net.run_for(step)
 
         sent = 0
 
@@ -1398,59 +1304,46 @@ def check_crash_chaos(
                 ))
                 sent += 1
 
-        pump(4)  # let subscriptions install fleet-wide
+        fabric.pump(4)                   # let subscriptions install fleet-wide
         victim_channel = channels[0]
         victim_address = fabric.directory.owner(victim_channel)
-        victim = workers[victim_address]
+        victim = fabric.workers[victim_address]
 
         publish_round(messages)          # healthy traffic
-        pump(2)                          # partial drain: leave in-flight work
+        fabric.pump(2)                   # partial drain: leave in-flight work
         if scenario == "partition":
             victim.heartbeats_suspended = True
         else:
             fabric.crash_worker(victim_address)
         publish_round(messages, only=victim_channel)  # outage traffic
-        pump(18)                         # past the lease deadline + recovery
+        fabric.pump(18)                  # past the lease deadline + recovery
         if victim_address in fabric.directory.workers:
             flag("lease checker never declared the victim dead")
         publish_round(messages)          # post-recovery traffic
-        pump(6)
+        fabric.pump(6)
         if scenario == "partition":
             victim.heartbeats_suspended = False
         else:
             victim.restart()
         if victim_address not in fabric.directory.workers:
             fabric.directory.join(victim)  # resurrection rejoins explicitly
-        pump(10)
+        fabric.pump(10)
         publish_round(messages)          # post-rejoin traffic
-        pump(10)
+        fabric.pump(10)
         net.run()                        # full drain (redrives, stalls)
-    finally:
-        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
 
-    expected = set(range(sent))
-    if scenario == "ablation":
-        # Control arm: loss is expected (that is the measured point),
-        # but the fabric must never invent or double-deliver events.
-        for name, got in (("sub-v1", got1), ("sub-v0", got0)):
-            if len(got) != len(set(got)):
-                dups = sorted({n for n in got if got.count(n) > 1})
-                flag(f"{name} saw duplicate events {dups[:5]} "
-                     f"without journaling")
-            extra = set(got) - expected
-            if extra:
-                flag(f"{name} delivered unpublished events "
-                     f"{sorted(extra)[:5]}")
-    else:
-        _assert_exactly_once(flag, "sub-v1", got1, sent)
-        _assert_exactly_once(flag, "sub-v0", got0, sent)
+    # Without journaling loss is expected (that is the measured point),
+    # but the fabric must never invent or double-deliver events.
+    _assert_exactly_once(flag, "sub-v1", got1, sent, allow_loss=not journaled)
+    _assert_exactly_once(flag, "sub-v0", got0, sent, allow_loss=not journaled)
+    if journaled:
         if pub.dropped:
             flag(f"publisher dropped {pub.dropped} buffered events "
                  f"despite a recovered fleet")
         for shard, owner_address in sorted(
             fabric.directory.assignment.items()
         ):
-            owner = workers.get(owner_address)
+            owner = fabric.workers.get(owner_address)
             if owner is None:
                 flag(f"shard {shard} assigned to unknown worker "
                      f"{owner_address!r}")
@@ -1460,15 +1353,8 @@ def check_crash_chaos(
         if scenario == "partition" and victim.fenced == 0:
             flag("partitioned stale owner was never epoch-fenced "
                  "despite post-expiry traffic on its channel")
-    if net.pending:
-        flag(f"network did not quiesce: {net.pending} events still queued")
-    if net.handler_errors:
-        flag(f"{net.handler_errors} handler exceptions were contained by "
-             f"the transport during the crash scenario")
-    closer = getattr(net, "close", None)
-    if closer is not None:
-        closer()
-    return findings
+    case.settle(net)
+    return case.findings
 
 
 def check_crash(

@@ -12,9 +12,10 @@ the entire budget on one oracle (the CI chaos smoke runs
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.check import oracles
 from repro.check.corpus import Corpus, minimize_wire
@@ -22,46 +23,38 @@ from repro.check.oracles import Finding
 from repro.errors import ReproError
 from repro.pbio.serialization import format_from_dict
 
-#: Fraction of the budget each oracle consumes.
-BUDGET_SPLIT = {
-    "roundtrip": 0.24,
-    "mutation": 0.22,
-    "ecode": 0.10,
-    "fusion": 0.10,
-    "morph": 0.08,
-    "reliability": 0.08,
-    "batching": 0.07,
-    "projection": 0.05,
-    "crash": 0.06,
+def _local(check: Callable[..., Any]) -> Callable[..., Any]:
+    return lambda rng, _transport: check(rng)
+
+
+def _deployed(check: Callable[..., Any]) -> Callable[..., Any]:
+    return lambda rng, transport: check(rng, transport=transport)
+
+
+#: name -> (fraction of the budget, case weight, case function).  A
+#: case's weight is the budget it consumes, so `--budget` approximates
+#: total work rather than loop iterations: a morph case simulates several
+#: messages over the network; a fusion case pushes a stream through
+#: three receivers; a reliability case stands up a whole reliable ECho
+#: deployment; batching and projection cases run two of them; a crash
+#: case drives a three-worker journaled fabric through a kill (or
+#: partition), lease expiry, fenced recovery and client redrive.  Case
+#: functions take ``(rng, transport)``; the mutation oracle's returns
+#: ``(mutations_applied, findings)``, every other one its findings.
+ORACLES: Dict[str, Tuple[float, int, Callable[..., Any]]] = {
+    "roundtrip": (0.24, 1, _local(oracles.check_roundtrip)),
+    "mutation": (0.22, 1, _local(oracles.check_mutation)),
+    "ecode": (0.10, 1, _local(oracles.check_ecode)),
+    "fusion": (0.10, 5, _local(oracles.check_fusion)),
+    "morph": (0.08, 10, _local(oracles.check_morph)),
+    "reliability": (0.08, 25, _deployed(oracles.check_reliability)),
+    "batching": (0.07, 40, _deployed(oracles.check_batching)),
+    "projection": (0.05, 40, _deployed(oracles.check_projection)),
+    "crash": (0.06, 50, _deployed(oracles.check_crash)),
 }
 
-#: Each morph case already simulates several messages over the network;
-#: weigh it so `--budget` approximates total work, not loop iterations.
-_MORPH_CASE_WEIGHT = 10
-
-#: Each fusion case pushes a multi-message stream through three
-#: receivers (fused, staged, and one contained BATCH1 frame); same
-#: weighting rationale.
-_FUSION_CASE_WEIGHT = 5
-
-#: Each reliability case stands up a whole middleware deployment (format
-#: servers, three or four ECho processes on reliable endpoints) and runs
-#: membership plus an event stream through a faulty fabric.
-_RELIABILITY_CASE_WEIGHT = 25
-
-#: Each batching case runs TWO full reliable deployments (the single-
-#: submit arm and the batched arm) over the same faulty fabric.
-_BATCHING_CASE_WEIGHT = 40
-
-#: Each projection case runs two full deployments (full-format vs
-#: negotiated push-down) through a three-phase subscriber-churn script,
-#: plus a hostile-projected-wire round.
-_PROJECTION_CASE_WEIGHT = 40
-
-#: Each crash case stands up a three-worker journaled fabric, kills (or
-#: partitions) the shard owner mid-stream, and drives lease expiry,
-#: fenced recovery and client redrive to quiescence.
-_CRASH_CASE_WEIGHT = 50
+#: Fraction of the budget each oracle consumes.
+BUDGET_SPLIT = {name: spec[0] for name, spec in ORACLES.items()}
 
 
 class CheckRunner:
@@ -75,10 +68,9 @@ class CheckRunner:
         only: Optional[str] = None,
         transport: str = "sim",
     ) -> None:
-        if only is not None and only not in BUDGET_SPLIT:
+        if only is not None and only not in ORACLES:
             raise ReproError(
-                f"unknown oracle {only!r}; expected one of "
-                f"{sorted(BUDGET_SPLIT)}"
+                f"unknown oracle {only!r}; expected one of {sorted(ORACLES)}"
             )
         if transport not in ("sim", "socket"):
             raise ReproError(
@@ -94,7 +86,7 @@ class CheckRunner:
         #: fabric the deployment oracles run on: "sim" or "socket"
         self.transport = transport
         self.findings: List[Finding] = []
-        self.cases: Dict[str, int] = {name: 0 for name in BUDGET_SPLIT}
+        self.cases: Dict[str, int] = {name: 0 for name in ORACLES}
         self.mutations_applied = 0
 
     # -- internals -----------------------------------------------------
@@ -127,88 +119,18 @@ class CheckRunner:
     # -- the loop ------------------------------------------------------
 
     def run(self) -> Dict[str, Any]:
-        if self.only is not None:
-            plan = {name: 0 for name in BUDGET_SPLIT}
-            plan[self.only] = self.budget
-        else:
-            plan = {
-                name: max(1, int(self.budget * fraction))
-                for name, fraction in BUDGET_SPLIT.items()
-            }
-        plan["morph"] = (
-            max(1, plan["morph"] // _MORPH_CASE_WEIGHT)
-            if plan["morph"] else 0
-        )
-        plan["fusion"] = (
-            max(1, plan["fusion"] // _FUSION_CASE_WEIGHT)
-            if plan["fusion"] else 0
-        )
-        plan["reliability"] = (
-            max(1, plan["reliability"] // _RELIABILITY_CASE_WEIGHT)
-            if plan["reliability"] else 0
-        )
-        plan["batching"] = (
-            max(1, plan["batching"] // _BATCHING_CASE_WEIGHT)
-            if plan["batching"] else 0
-        )
-        plan["projection"] = (
-            max(1, plan["projection"] // _PROJECTION_CASE_WEIGHT)
-            if plan["projection"] else 0
-        )
-        plan["crash"] = (
-            max(1, plan["crash"] // _CRASH_CASE_WEIGHT)
-            if plan["crash"] else 0
-        )
-
-        for index in range(plan["roundtrip"]):
-            self.cases["roundtrip"] += 1
-            self._record(oracles.check_roundtrip(self._rng("roundtrip", index)))
-        for index in range(plan["mutation"]):
-            self.cases["mutation"] += 1
-            applied, found = oracles.check_mutation(self._rng("mutation", index))
-            self.mutations_applied += applied
-            self._record(found)
-        for index in range(plan["ecode"]):
-            self.cases["ecode"] += 1
-            self._record(oracles.check_ecode(self._rng("ecode", index)))
-        for index in range(plan["fusion"]):
-            self.cases["fusion"] += 1
-            self._record(oracles.check_fusion(self._rng("fusion", index)))
-        for index in range(plan["morph"]):
-            self.cases["morph"] += 1
-            self._record(oracles.check_morph(self._rng("morph", index)))
-        for index in range(plan["reliability"]):
-            self.cases["reliability"] += 1
-            self._record(
-                oracles.check_reliability(
-                    self._rng("reliability", index),
-                    transport=self.transport,
-                )
-            )
-        for index in range(plan["batching"]):
-            self.cases["batching"] += 1
-            self._record(
-                oracles.check_batching(
-                    self._rng("batching", index),
-                    transport=self.transport,
-                )
-            )
-        for index in range(plan["projection"]):
-            self.cases["projection"] += 1
-            self._record(
-                oracles.check_projection(
-                    self._rng("projection", index),
-                    transport=self.transport,
-                )
-            )
-        for index in range(plan["crash"]):
-            self.cases["crash"] += 1
-            self._record(
-                oracles.check_crash(
-                    self._rng("crash", index),
-                    transport=self.transport,
-                )
-            )
+        for name, (fraction, weight, case) in ORACLES.items():
+            if self.only is None:
+                share = max(1, int(self.budget * fraction))
+            else:
+                share = self.budget if name == self.only else 0
+            for index in range(max(1, share // weight) if share else 0):
+                self.cases[name] += 1
+                found = case(self._rng(name, index), self.transport)
+                if name == "mutation":
+                    applied, found = found
+                    self.mutations_applied += applied
+                self._record(found)
         return self.summary()
 
     def summary(self) -> Dict[str, Any]:
@@ -248,79 +170,21 @@ def run_check(
 # ---------------------------------------------------------------------------
 
 
-def replay_entry(entry: Dict[str, Any]) -> List[Finding]:
-    """Re-run the invariant a corpus *entry* captured.  Returns the
-    findings the entry still provokes (empty = regression fixed/held)."""
-    kind = entry.get("kind")
-    if kind in ("mutation", "roundtrip"):
-        fmt = format_from_dict(entry["format"])
-        wire = bytes.fromhex(entry["wire_hex"])
-        return oracles.check_wire_hostility(
-            fmt, wire, mutation=entry.get("mutation", "replay")
-        )
-    if kind == "ecode":
-        return _replay_ecode(entry["program"], entry.get("inputs"))
-    if kind == "fusion":
-        return _replay_fusion(entry)
-    if kind == "reliability":
-        return _replay_reliability(entry)
-    if kind == "batching":
-        return _replay_batching(entry)
-    if kind == "projection":
-        return _replay_projection(entry)
-    if kind == "crash":
-        return _replay_crash(entry)
-    raise ReproError(f"cannot replay corpus entry of kind {kind!r}")
-
-
-def _replay_crash(entry: Dict[str, Any]) -> List[Finding]:
-    """Crash chaos cases are fully determined by their scenario
-    parameters; replay re-runs the kill/partition/ablation script."""
-    return oracles.check_crash_chaos(
-        entry["net_seed"], entry["loss_rate"], entry["jitter"],
-        entry["messages"], scenario=entry.get("scenario", "kill"),
-        transport=entry.get("transport", "sim"),
+def _replay_scenario(scenario: Callable[..., List[Finding]]):
+    """Replay a deployment scenario from the parameters its entry
+    carries, by name; absent ones take the scenario's defaults.  The
+    seeded fabric makes the parameters the whole case."""
+    names = inspect.signature(scenario).parameters
+    return lambda entry: scenario(
+        **{name: entry[name] for name in names if name in entry}
     )
 
 
-def _replay_projection(entry: Dict[str, Any]) -> List[Finding]:
-    """Projection parity cases are fully determined by their scenario
-    parameters; replay re-runs both arms of the churn script."""
-    return oracles.check_projection_pushdown(
-        entry["net_seed"], entry["loss_rate"], entry["jitter"],
-        entry["messages"], entry["batch_size"],
-        transport=entry.get("transport", "sim"),
+def _replay_wire(entry: Dict[str, Any]) -> List[Finding]:
+    return oracles.check_wire_hostility(
+        format_from_dict(entry["format"]), bytes.fromhex(entry["wire_hex"]),
+        mutation=entry.get("mutation", "replay"),
     )
-
-
-def _replay_batching(entry: Dict[str, Any]) -> List[Finding]:
-    """Batching parity cases are fully determined by their scenario
-    parameters, like reliability cases: replay re-runs both arms."""
-    return oracles.check_batching_parity(
-        entry["net_seed"], entry["loss_rate"], entry["jitter"],
-        entry["messages"], entry["batch_size"],
-        transport=entry.get("transport", "sim"),
-    )
-
-
-def _replay_reliability(entry: Dict[str, Any]) -> List[Finding]:
-    """Reliability cases are fully determined by their scenario
-    parameters (the virtual network is seeded), so replay re-runs the
-    scenario rather than re-injecting bytes."""
-    scenario = entry.get("scenario")
-    transport = entry.get("transport", "sim")
-    if scenario == "chain":
-        return oracles.check_reliability_chain(
-            entry["net_seed"], entry["loss_rate"], entry["jitter"],
-            entry["messages"], transport=transport,
-        )
-    if scenario == "failover":
-        return oracles.check_reliability_failover(
-            entry["net_seed"], entry["loss_rate"], entry["jitter"],
-            entry["messages"], entry.get("crash_primary", True),
-            transport=transport,
-        )
-    raise ReproError(f"cannot replay reliability scenario {scenario!r}")
 
 
 def _replay_fusion(entry: Dict[str, Any]) -> List[Finding]:
@@ -346,58 +210,51 @@ def _replay_fusion(entry: Dict[str, Any]) -> List[Finding]:
     return oracles.check_fusion_wires(registry, handler_fmt, wires)
 
 
-def _replay_ecode(program: str, inputs: Optional[Dict[str, int]]) -> List[Finding]:
-    import copy
+#: ``kind`` or ``kind/scenario`` of a corpus entry -> its replay.
+_REPLAY: Dict[str, Callable[[Dict[str, Any]], List[Finding]]] = {
+    "mutation": _replay_wire,
+    "roundtrip": _replay_wire,
+    "ecode": lambda entry: oracles.check_ecode_program(
+        entry["program"],
+        lambda: entry.get("inputs") or {"a": 0, "b": 0, "c": 0},
+    ),
+    "fusion": _replay_fusion,
+    "morph": _replay_scenario(oracles.check_morph_stream),
+    "reliability/chain": _replay_scenario(oracles.check_reliability_chain),
+    "reliability/failover": _replay_scenario(
+        oracles.check_reliability_failover
+    ),
+    "batching": _replay_scenario(oracles.check_batching_parity),
+    "projection": _replay_scenario(oracles.check_projection_pushdown),
+    "crash": _replay_scenario(oracles.check_crash_chaos),
+}
 
-    from repro.check.oracles import Finding as _Finding
-    from repro.ecode import compile_procedure, interpret_procedure
-    from repro.errors import ECodeError
-    from repro.pbio.record import Record
 
-    def build(factory):
-        try:
-            return "ok", factory(program)
-        except ECodeError as exc:
-            return "clean", exc
-        except Exception as exc:  # noqa: BLE001
-            return "dirty", exc
-
-    c_kind, compiled = build(compile_procedure)
-    i_kind, interp = build(interpret_procedure)
-    if c_kind != i_kind or "dirty" in (c_kind, i_kind):
-        return [_Finding("ecode", f"front-end divergence on replay: "
-                                  f"compile={c_kind} interpret={i_kind}")]
-    if c_kind == "clean":
-        return []
-    values = inputs or {"a": 0, "b": 0, "c": 0}
-
-    def run(proc):
-        new = Record(copy.deepcopy(values))
-        old = Record({"a": 0, "b": 0, "c": 0})
-        try:
-            return "ok", (proc(new, old), dict(old))
-        except ECodeError as exc:
-            return "clean", type(exc).__name__
-        except Exception as exc:  # noqa: BLE001
-            return "dirty", exc
-
-    ck, cv = run(compiled)
-    ik, iv = run(interp)
-    if "dirty" in (ck, ik) or ck != ik or (ck == "ok" and cv != iv):
-        return [_Finding("ecode", f"replay divergence: compiled=({ck}, {cv!r}) "
-                                  f"interp=({ik}, {iv!r})")]
-    return []
+def replay_entry(entry: Dict[str, Any]) -> List[Finding]:
+    """Re-run the invariant a corpus *entry* captured.  Returns the
+    findings the entry still provokes (empty = regression fixed/held)."""
+    kind, scenario = entry.get("kind"), entry.get("scenario")
+    replay = _REPLAY.get(f"{kind}/{scenario}") or _REPLAY.get(kind)
+    if replay is None:
+        raise ReproError(
+            f"cannot replay corpus entry of kind {kind!r} "
+            f"(scenario {scenario!r})"
+        )
+    return replay(entry)
 
 
 def replay_corpus(corpus: Corpus) -> Dict[str, Any]:
     """Replay every corpus entry; summarize which still fire."""
     results = []
     for path, entry in zip(corpus.paths(), corpus.entries()):
-        found = replay_entry(entry)
+        try:
+            still_failing = [f.detail for f in replay_entry(entry)]
+        except ReproError as exc:
+            still_failing = [f"replay failed: {exc}"]
         results.append({
             "path": path,
             "kind": entry.get("kind"),
-            "still_failing": [f.detail for f in found],
+            "still_failing": still_failing,
         })
     failing = [r for r in results if r["still_failing"]]
     return {

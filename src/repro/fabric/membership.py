@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DEFAULT_LEASE_TIMEOUT = 1.0
 
 
+def _pace() -> None:
+    """No-op timer that paces a simulated clock in :meth:`EventFabric.pump`."""
+
+
 class RemoteWorker:
     """Stand-in for a worker whose process lives elsewhere.
 
@@ -368,6 +372,8 @@ class EventFabric:
         self.directory = FabricDirectory(
             num_shards=num_shards, clock=network, lease_timeout=lease_timeout,
         )
+        #: workers by address, in :meth:`add_worker` order
+        self.workers: Dict[str, "FabricWorker"] = {}
 
     def add_worker(self, address: str, **options: object) -> "FabricWorker":
         from repro.fabric.worker import FabricWorker
@@ -378,9 +384,11 @@ class EventFabric:
         options.setdefault("journal", self.journal)
         worker = FabricWorker(self.directory, self.network, address, **options)
         self.directory.join(worker)
+        self.workers[address] = worker
         return worker
 
     def remove_worker(self, address: str) -> List[int]:
+        self.workers.pop(address, None)
         return self.directory.leave(address)
 
     def crash_worker(self, address: str) -> "FabricWorker":
@@ -392,6 +400,25 @@ class EventFabric:
         worker = self.directory.worker(address)
         worker.crash()
         return worker
+
+    def pump(self, steps: int, step: float = 0.05) -> None:
+        """Advance the deployment *steps* beats: every worker heartbeats
+        (in :meth:`add_worker` order), the directory sweeps leases, and
+        the network runs *step* seconds — virtual time on the simulated
+        network, real time on a socket network.  Heartbeats are driven
+        here rather than by recurring timers so a simulated network can
+        still fully quiesce at the end."""
+        network: Any = self.network
+        run_for = getattr(network, "run_for", None)
+        for _ in range(steps):
+            for worker in self.workers.values():
+                worker.heartbeat()
+            self.directory.check_leases()
+            if run_for is not None:
+                run_for(step)
+            else:
+                network.call_later(step, _pace)
+                network.run(max_time=network.now + step)
 
     def client(self, address: str, **options: object) -> "FabricClient":
         from repro.fabric.client import FabricClient

@@ -9,8 +9,12 @@ import sys
 
 import pytest
 
+from repro import obs
+from repro.check import oracles
 from repro.check.runner import CheckRunner, run_check
-from repro.errors import DecodeError
+from repro.errors import DecodeError, ReproError
+from repro.net.transport import Network
+from repro.obs.metrics import Registry
 from repro.pbio import codegen
 from repro.pbio.buffer import HEADER_SIZE
 from repro.pbio.decode import decode_record
@@ -53,6 +57,55 @@ class TestCLI:
         summary = json.loads(proc.stdout)
         assert summary["ok"] is True
         assert summary["seed"] == 0
+
+
+#: Every scenario that stands up a deployment, with small clean params.
+_DEPLOYMENTS = {
+    "chain": lambda transport: oracles.check_reliability_chain(
+        0, 0.0, 0.0, 2, transport=transport),
+    "failover": lambda transport: oracles.check_reliability_failover(
+        0, 0.0, 0.0, 2, transport=transport),
+    "batching": lambda transport: oracles.check_batching_parity(
+        0, 0.0, 0.0, 2, 2, transport=transport),
+    "projection": lambda transport: oracles.check_projection_pushdown(
+        0, 0.0, 0.0, 2, 2, transport=transport),
+    "crash": lambda transport: oracles.check_crash_chaos(
+        0, 0.0, 0.0, 2, transport=transport),
+    "morph": lambda transport: oracles.check_morph_stream(
+        0, 0.0, 0.0, "1.0", 2, 0),
+}
+
+
+class TestObsIsolation:
+    """A scenario that raises mid-deployment must leave the process-wide
+    observability state exactly as it found it."""
+
+    @pytest.fixture
+    def prior_obs(self):
+        saved = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
+        obs.disable()
+        obs.OBS.metrics = Registry()
+        yield (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
+        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = saved
+
+    @pytest.mark.parametrize("name", sorted(_DEPLOYMENTS))
+    def test_failing_network_run_restores_obs(self, monkeypatch, prior_obs,
+                                              name):
+        def broken_run(self, *args, **kwargs):
+            raise RuntimeError("network died mid-deployment")
+
+        monkeypatch.setattr(Network, "run", broken_run)
+        with pytest.raises(RuntimeError):
+            _DEPLOYMENTS[name]("sim")
+        assert (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer) == prior_obs
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(_DEPLOYMENTS) - {"morph"})
+    )
+    def test_unknown_transport_restores_obs(self, prior_obs, name):
+        with pytest.raises(ReproError):
+            _DEPLOYMENTS[name]("carrier-pigeon")
+        assert (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer) == prior_obs
 
 
 @pytest.fixture

@@ -79,14 +79,7 @@ class CrashDeployment:
         self.pump(4)  # install subscriptions fleet-wide
 
     def pump(self, steps, step=0.05):
-        # Heartbeats are driven here, not by recurring timers, so the
-        # simulated network can still fully quiesce at the end.
-        for _ in range(steps):
-            for worker in self.workers.values():
-                worker.heartbeat()
-            self.fabric.directory.check_leases()
-            self.net.call_later(step, _noop)
-            self.net.run(max_time=self.net.now + step)
+        self.fabric.pump(steps, step)
 
     def publish(self, count, only=None):
         for _ in range(count):
