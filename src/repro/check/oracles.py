@@ -1232,6 +1232,7 @@ def check_crash_chaos(
     messages: int,
     scenario: str = "kill",
     transport: str = "sim",
+    batch: int = 1,
 ) -> List[Finding]:
     """Worker crashes mid-stream on a journaled, lease-guarded fabric.
 
@@ -1249,6 +1250,10 @@ def check_crash_chaos(
       or double-delivered events, quiescence); event *loss* is expected
       and is the measured difference — see ``BENCH_recovery``.
 
+    With *batch* > 1 each round publishes ``publish_batch`` frames of up
+    to *batch* events per channel instead of single publishes, so the
+    worker's frame data plane runs through the crash.
+
     Journaled scenarios assert the tentpole contract: exactly-once
     delivery at every sink across the crash (journal-tail re-deliveries
     are suppressed and counted by subscriber ledgers), zero client-side
@@ -1260,7 +1265,8 @@ def check_crash_chaos(
     case = _Case("crash", {
         "kind": "crash", "scenario": scenario, "net_seed": net_seed,
         "loss_rate": loss_rate, "jitter": jitter, "messages": messages,
-        "transport": transport, "expectation": "crash_exactly_once",
+        "transport": transport, "batch": batch,
+        "expectation": "crash_exactly_once",
     })
     flag = case.flag
     journaled = scenario != "ablation"
@@ -1294,15 +1300,21 @@ def check_crash_chaos(
 
         def publish_round(count: int, only: "Optional[str]" = None) -> None:
             nonlocal sent
-            for _ in range(count):
+            end = sent + count
+            while sent < end:
                 channel_id = (
                     only if only is not None
                     else channels[sent % len(channels)]
                 )
-                pub.publish(channel_id, _EVT_V2, _EVT_V2.make_record(
-                    n=sent, extra=2 * sent, flag=1
-                ))
-                sent += 1
+                records = [
+                    _EVT_V2.make_record(n=n, extra=2 * n, flag=1)
+                    for n in range(sent, min(sent + batch, end))
+                ]
+                if batch == 1:
+                    pub.publish(channel_id, _EVT_V2, records[0])
+                else:
+                    pub.publish_batch(channel_id, _EVT_V2, records)
+                sent += len(records)
 
         fabric.pump(4)                   # let subscriptions install fleet-wide
         victim_channel = channels[0]
@@ -1373,7 +1385,8 @@ def check_crash(
         scenario = "partition"
     else:
         scenario = "ablation"
+    batch = rng.choice([4, 1])
     return check_crash_chaos(
         net_seed, loss_rate, jitter, messages,
-        scenario=scenario, transport=transport,
+        scenario=scenario, transport=transport, batch=batch,
     )

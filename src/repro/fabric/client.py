@@ -21,11 +21,12 @@ from repro.fabric.protocol import (
     register_fabric_protocol,
 )
 from repro.fabric.worker import SeqLedger
-from repro.net.batch import is_batch, pack_batch, unpack_batch
+from repro.net.batch import is_batch, unpack_batch
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
 from repro.obs.tracectx import TraceContext, activate, make_context
-from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
+from repro.pbio.buffer import attach_trace, unpack_header
+from repro.pbio.codegen import BatchEncoderFn, make_batch_encoder
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
@@ -100,6 +101,8 @@ class FabricClient:
         self._subscriptions: Dict[str, Tuple[IOFormat, EventHandler]] = {}
         #: (channel, publisher) -> receive-side exactly-once ledger
         self.received: Dict[Tuple[str, str], SeqLedger] = {}
+        #: event format id -> vectorized (FABRIC_PUBLISH, event) encoder
+        self._batch_encoders: Dict[int, BatchEncoderFn] = {}
         #: publishes whose reliable send failed (dead owner, open
         #: breaker) awaiting redrive once the successor is live
         self._publish_buffer: List[Tuple[str, bytes]] = []
@@ -283,23 +286,22 @@ class FabricClient:
         ctx: Optional[TraceContext] = None
         if OBS.enabled:
             ctx = make_context()
-        seqs: List[int] = []
-        datagrams: List[bytes] = []
-        for record in records:
-            seq = self._next_seq.get(channel_id, 0) + 1
-            self._next_seq[channel_id] = seq
-            seqs.append(seq)
-            envelope = FABRIC_PUBLISH.make_record(
-                channel_id=channel_id,
-                publisher=self.address,
-                seq=seq,
-                epoch=epoch,
+        first = self._next_seq.get(channel_id, 0) + 1
+        seqs = list(range(first, first + len(records)))
+        rows = [
+            (
+                FABRIC_PUBLISH.make_record(
+                    channel_id=channel_id,
+                    publisher=self.address,
+                    seq=seq,
+                    epoch=epoch,
+                ),
+                record,
             )
-            datagrams.append(
-                self.pbio.encode(FABRIC_PUBLISH, envelope)
-                + self.pbio.encode(fmt, record)
-            )
-        frame = pack_batch(datagrams, ctx)
+            for seq, record in zip(seqs, records)
+        ]
+        frame = self._batch_encoder(fmt)(rows, ctx)
+        self._next_seq[channel_id] = seqs[-1]
         with activate(ctx), OBS.tracer.span(
             "fabric.publish_batch",
             channel=channel_id,
@@ -314,6 +316,20 @@ class FabricClient:
                 "fabric.published", channel=channel_id
             ).inc(len(records))
         return seqs
+
+    def _batch_encoder(self, fmt: IOFormat) -> BatchEncoderFn:
+        """The cached vectorized ``(FABRIC_PUBLISH, fmt)`` encoder: one
+        generated routine packs a whole batch straight into a BATCH1
+        frame, byte-identical to encoding each message and packing."""
+        # registered like every PBIOContext.encode would, so resolvers
+        # and a shared registry know the event format
+        self.registry.register(fmt)
+        encoder = self._batch_encoders.get(fmt.format_id)
+        if encoder is None:
+            encoder = self._batch_encoders[fmt.format_id] = make_batch_encoder(
+                (FABRIC_PUBLISH, fmt), byte_order=self.pbio.byte_order
+            )
+        return encoder
 
     def subscribe(
         self, channel_id: str, fmt: IOFormat, handler: EventHandler
@@ -357,9 +373,9 @@ class FabricClient:
         if fmt is None:
             self.errors += 1
             return
-        body_end = header.body_offset + header.payload_length
-        record = self.pbio.decode_as(fmt, data[:body_end])
+        record = self.pbio.decode_as(fmt, data, header)
         if fmt.name == FABRIC_DELIVER.name:
+            body_end = header.body_offset + header.payload_length
             self._on_deliver(record, data[body_end:])
         elif fmt.name == FABRIC_REDIRECT.name:
             self._on_redirect(record)
@@ -392,16 +408,13 @@ class FabricClient:
             self.duplicates += 1
             return
         fmt, handler = subscription
-        with activate(peek_trace(payload)), OBS.tracer.span(
+        header = unpack_header(payload)
+        with activate(header.trace), OBS.tracer.span(
             "fabric.deliver",
             channel=channel_id,
             subscriber=self.address,
         ):
-            payload_header = unpack_header(payload)
-            body_end = (
-                payload_header.body_offset + payload_header.payload_length
-            )
-            event = self.pbio.decode_as(fmt, payload[:body_end])
+            event = self.pbio.decode_as(fmt, payload, header)
             handler(channel_id, publisher, seq, event)
         self.delivered += 1
         if OBS.enabled:

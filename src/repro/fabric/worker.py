@@ -8,6 +8,15 @@ subscriber in the group.  Morphing happens **at the owner** so adding
 workers adds morphing capacity — the property the scaling bench
 measures.
 
+The data plane works a frame at a time.  The events of one input frame
+are admitted one by one, then each channel's admitted payloads are
+packed into one frame that every subscriber format group morphs in one
+:meth:`MorphReceiver.process_batch` pass and re-encodes with one
+vectorized batch encoder; each contact then gets one BATCH1 frame of
+``FABRIC_DELIVER`` + payload messages.  An unbatched publish and a
+journal-tail replay are frames of one, and a result of one message goes
+out as a plain envelope + payload datagram.
+
 Exactly-once across rebalancing rests on three mechanisms:
 
 * a per-``(channel, publisher)`` :class:`SeqLedger` (contiguous
@@ -46,11 +55,12 @@ from repro.fabric.protocol import (
     register_fabric_protocol,
 )
 from repro.morph.receiver import MorphReceiver
-from repro.net.batch import is_batch, unpack_batch
+from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
-from repro.obs.tracectx import activate, current
+from repro.obs.tracectx import TraceContext, activate, current
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
+from repro.pbio.codegen import BatchEncoderFn, make_batch_encoder
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
 from repro.pbio.registry import FormatRegistry
@@ -137,20 +147,33 @@ class SeqLedger:
         return cls(high, cleaned)
 
 
+#: One admitted event awaiting delivery: (publisher, seq, payload wire).
+_Event = Tuple[str, int, bytes]
+
+
+def _morphed(record: Any) -> Any:
+    """Group receivers' handler: hand the morphed record back to the
+    caller of ``process_batch``."""
+    return record
+
+
 class _SubscriberGroup:
     """Subscribers of one channel sharing one event format.
 
-    Each group owns a :class:`MorphReceiver` whose single handler
-    re-encodes the morphed record in the group format and pushes it to
-    every contact — one decode+transform per *format group*, not per
-    subscriber."""
+    Each group owns a contained :class:`MorphReceiver` that returns the
+    records morphed into the group format, and the vectorized encoder of
+    its ``(FABRIC_DELIVER, fmt)`` delivery rows (compiled on first use) —
+    one morph pass and one encode per *format group* per input frame,
+    not per subscriber or per event."""
 
-    __slots__ = ("fmt", "contacts", "receiver")
+    __slots__ = ("fmt", "contacts", "receiver", "encoder")
 
-    def __init__(self, fmt: IOFormat, receiver: MorphReceiver) -> None:
+    def __init__(self, fmt: IOFormat, registry: FormatRegistry) -> None:
         self.fmt = fmt
         self.contacts: List[str] = []
-        self.receiver = receiver
+        self.receiver = MorphReceiver(registry, contain_failures=True)
+        self.receiver.register_handler(fmt, _morphed)
+        self.encoder: Optional[BatchEncoderFn] = None
 
 
 class FabricChannel:
@@ -237,8 +260,6 @@ class FabricWorker:
         self._channels: Dict[str, FabricChannel] = {}
         #: format ids already refreshed from the server fleet
         self._refreshed: Set[int] = set()
-        #: set while fanning out one publish, read by group handlers
-        self._delivering: Optional[Tuple[str, str, int, bytes]] = None
         #: write-ahead ledger journal shared with whoever inherits our
         #: shards (None disables journaling — the crash-ablation arm)
         self.journal = journal
@@ -269,6 +290,9 @@ class FabricWorker:
         self.fenced = 0
         self.recovered_shards = 0
         self.tail_replayed = 0
+        #: admitted events that some subscriber group could not morph
+        #: (dead-lettered or quarantined by the group's receiver)
+        self.dead_lettered = 0
         self.errors = 0
 
     @property
@@ -344,7 +368,7 @@ class FabricWorker:
                 OBS.metrics.counter(
                     "fabric.recovery.replayed", worker=self.address
                 ).inc()
-            self._fan_out(channel, publisher, seq, payload)
+            self._deliver_frame(channel, [(publisher, seq, payload)])
         # The recovered state is the new baseline: compact so the next
         # crash replays from here, not from the predecessor's history.
         self.journal.snapshot(shard, epoch, self._shard_state(shard))
@@ -384,7 +408,6 @@ class FabricWorker:
         self._channels.clear()
         self._handoff_staging.clear()
         self._relay_seen.clear()
-        self._delivering = None
         self._update_owned_gauge()
 
     def restart(self) -> None:
@@ -542,7 +565,15 @@ class FabricWorker:
         assert self.resolver is not None
         self.resolver.refresh(format_id, _done)
 
-    def _on_message(self, source: str, data: bytes) -> None:
+    def _on_message(
+        self,
+        source: str,
+        data: bytes,
+        admitted: Optional[Dict[FabricChannel, List[_Event]]] = None,
+    ) -> None:
+        """Dispatch one datagram.  Inside a frame, *admitted* collects
+        the frame's admitted publishes per channel for one delivery pass
+        (see :meth:`_on_batch`); without it a publish delivers at once."""
         if is_batch(data):
             self._on_batch(source, data)
             return
@@ -555,12 +586,11 @@ class FabricWorker:
             else:
                 self.errors += 1
             return
-        body_end = header.body_offset + header.payload_length
-        record = self.pbio.decode_as(fmt, data[:body_end])
-        trailing = data[body_end:]
+        record = self.pbio.decode_as(fmt, data, header)
         name = fmt.name
         if name == FABRIC_PUBLISH.name:
-            self._on_publish(source, data, record, trailing)
+            body_end = header.body_offset + header.payload_length
+            self._on_publish(source, data, record, data[body_end:], admitted)
         elif name == FABRIC_SUBSCRIBE.name:
             self._on_subscribe(source, data, record)
         elif name == FABRIC_HANDOFF.name:
@@ -571,21 +601,30 @@ class FabricWorker:
             self.errors += 1
 
     def _on_batch(self, source: str, data: bytes) -> None:
-        """Decompose one BATCH1 frame element-by-element through the
-        normal dispatch: each contained message carries its own envelope
-        and sequence number, so ledger admission, reroute/forwarding and
+        """Admit one BATCH1 frame element-by-element through the normal
+        dispatch, then deliver what was admitted one channel at a time.
+        Each contained message carries its own envelope and sequence
+        number, so ledger admission, journaling, reroute/forwarding and
         the pending buffer all keep their per-message exactly-once
         semantics — a frame that races a handoff can have some elements
-        delivered here and the rest forwarded or buffered individually."""
+        delivered here and the rest forwarded or buffered individually.
+        Every admission is journaled before the first delivery leaves;
+        if a later element raises, the ones admitted before it are still
+        delivered."""
         try:
             frame = unpack_batch(data)
         except Exception:  # noqa: BLE001 - malformed frame from a peer
             self.errors += 1
             return
         view = data if isinstance(data, memoryview) else memoryview(data)
+        admitted: Dict[FabricChannel, List[_Event]] = {}
         with activate(frame.trace):
-            for off, length in frame.segments:
-                self._on_message(source, view[off:off + length])
+            try:
+                for off, length in frame.segments:
+                    self._on_message(source, view[off:off + length], admitted)
+            finally:
+                for channel, events in admitted.items():
+                    self._deliver_frame(channel, events)
 
     def _reroute(
         self, shard: int, source: str, data: bytes, reply_to: str, channel_id: str
@@ -666,7 +705,12 @@ class FabricWorker:
         return True
 
     def _on_publish(
-        self, source: str, data: bytes, record: Any, payload: bytes
+        self,
+        source: str,
+        data: bytes,
+        record: Any,
+        payload: bytes,
+        admitted: Optional[Dict[FabricChannel, List[_Event]]] = None,
     ) -> None:
         channel_id = record["channel_id"]
         shard = shard_of(channel_id, self.directory.num_shards)
@@ -691,7 +735,7 @@ class FabricWorker:
             return
         if self.journal is not None:
             # Write-ahead: the admission is durable before any delivery
-            # leaves, so a crash between here and the fan-out loses no
+            # leaves, so a crash between here and the delivery loses no
             # admitted event — the successor replays it from the tail.
             self.journal.append_admit(
                 shard, self._owned[shard], channel_id,
@@ -704,70 +748,96 @@ class FabricWorker:
             OBS.metrics.bounded_counter(
                 "fabric.shard.processed", shard=str(shard)
             ).inc()
-        self._fan_out(channel, record["publisher"], record["seq"], payload)
+        event = (record["publisher"], record["seq"], payload)
+        if admitted is None:
+            self._deliver_frame(channel, [event])
+        else:
+            admitted.setdefault(channel, []).append(event)
 
     def _compact_shard(self, shard: int) -> None:
         self.journal.snapshot(
             shard, self._owned[shard], self._shard_state(shard)
         )
 
-    def _fan_out(
-        self, channel: FabricChannel, publisher: str, seq: int, payload: bytes
+    def _deliver_frame(
+        self, channel: FabricChannel, events: List[_Event]
     ) -> None:
-        """Morph-at-owner: run the payload through each format group's
-        receiver; the group handler re-encodes and pushes."""
-        if not channel.groups:
+        """Morph-at-owner for the admitted *events* of one input frame:
+        pack their payloads into one frame, run each format group's
+        receiver over it once, and send each contact one datagram with
+        the group's deliveries.  A frame of one keeps the publish's own
+        trace block; a batch's contained messages carry none, so the
+        frame-level context activated by :meth:`_on_batch` covers them."""
+        groups = [
+            group for _format_id, group in sorted(channel.groups.items())
+            if group.contacts
+        ]
+        if not groups:
             return
-        # Batch-inner messages carry no per-message trace block — the
-        # frame-level context activated by _on_batch covers them.
-        ctx = peek_trace(payload) or current()
-        self._delivering = (channel.channel_id, publisher, seq, payload)
-        try:
-            with activate(ctx), OBS.tracer.span(
-                "fabric.morph",
-                channel=channel.channel_id,
-                worker=self.address,
-            ):
-                for _format_id, group in sorted(channel.groups.items()):
-                    if not group.contacts:
-                        continue
-                    group.receiver.process(payload)
-        finally:
-            self._delivering = None
+        ctx = current()
+        if len(events) == 1:
+            ctx = peek_trace(events[0][2]) or ctx
+        frame = pack_batch([payload for _publisher, _seq, payload in events])
+        envelopes = [
+            FABRIC_DELIVER.make_record(
+                channel_id=channel.channel_id, publisher=publisher, seq=seq
+            )
+            for publisher, seq, _payload in events
+        ]
+        failed: Set[int] = set()
+        with activate(ctx), OBS.tracer.span(
+            "fabric.morph",
+            channel=channel.channel_id,
+            worker=self.address,
+            count=len(events),
+        ):
+            for group in groups:
+                rows = []
+                for index, morphed in enumerate(
+                    group.receiver.process_batch(frame)
+                ):
+                    if morphed is None:
+                        failed.add(index)
+                    else:
+                        rows.append((envelopes[index], morphed))
+                if not rows:
+                    continue
+                datagram = self._encode_deliveries(group, rows, ctx)
+                for contact in group.contacts:
+                    self._send(contact, datagram)
+                self.deliveries += len(rows) * len(group.contacts)
+        if failed:
+            self.dead_lettered += len(failed)
+            if OBS.enabled:
+                OBS.metrics.counter(
+                    "fabric.dead_letters", worker=self.address
+                ).inc(len(failed))
 
-    def _make_group(
-        self, channel: FabricChannel, fmt: IOFormat
-    ) -> _SubscriberGroup:
-        receiver = MorphReceiver(self.registry, contain_failures=True)
-        group = _SubscriberGroup(fmt, receiver)
-
-        def deliver(morphed: Any, _group: _SubscriberGroup = group) -> None:
-            self._deliver_group(_group, morphed)
-
-        receiver.register_handler(fmt, deliver)
-        return group
-
-    def _deliver_group(self, group: _SubscriberGroup, morphed: Any) -> None:
-        assert self._delivering is not None
-        channel_id, publisher, seq, original = self._delivering
-        out_payload = self.pbio.encode(group.fmt, morphed)
-        envelope = FABRIC_DELIVER.make_record(
-            channel_id=channel_id, publisher=publisher, seq=seq
-        )
+    def _encode_deliveries(
+        self,
+        group: _SubscriberGroup,
+        rows: List[Tuple[Any, Any]],
+        ctx: Optional[TraceContext],
+    ) -> bytes:
+        """One datagram carrying a group's ``(envelope, morphed)`` rows:
+        a BATCH1 frame from the group's vectorized encoder, or — for a
+        single row — the plain envelope + payload concatenation, each
+        message re-stamped with *ctx* so the delivery hop joins the
+        publish's trace even though the payload was re-encoded."""
+        if len(rows) > 1:
+            if group.encoder is None:
+                group.encoder = make_batch_encoder(
+                    (FABRIC_DELIVER, group.fmt),
+                    byte_order=self.pbio.byte_order,
+                )
+            return group.encoder(rows, ctx)
+        envelope, morphed = rows[0]
         envelope_wire = self.pbio.encode(FABRIC_DELIVER, envelope)
-        # Re-attach the original publish's trace block so the delivery
-        # hop joins the same trace even though the payload was
-        # re-encoded in the subscriber's format.  Batch-published events
-        # have no per-message block; their frame-level context is the
-        # active one.
-        ctx = peek_trace(original) or current()
+        payload = self.pbio.encode(group.fmt, morphed)
         if ctx is not None:
-            out_payload = attach_trace(out_payload, ctx)
             envelope_wire = attach_trace(envelope_wire, ctx)
-        datagram = envelope_wire + out_payload
-        for contact in group.contacts:
-            self._send(contact, datagram)
-            self.deliveries += 1
+            payload = attach_trace(payload, ctx)
+        return envelope_wire + payload
 
     # ------------------------------------------------------------------
     # Subscriptions
@@ -809,7 +879,8 @@ class FabricWorker:
         channel = self._channel(channel_id)
         group = channel.groups.get(format_id)
         if group is None:
-            group = channel.groups[format_id] = self._make_group(channel, fmt)
+            group = _SubscriberGroup(fmt, self.registry)
+            channel.groups[format_id] = group
         if contact not in group.contacts:
             group.contacts.append(contact)
 

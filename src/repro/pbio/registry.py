@@ -83,6 +83,10 @@ class FormatRegistry:
         with self._lock:
             existing = self._by_id.get(fmt.format_id)
             if existing is not None:
+                # Identity first: ``!=`` rebuilds both recursive
+                # signatures, and every encode re-registers its format.
+                if existing is fmt:
+                    return fmt.format_id
                 if existing != fmt:
                     raise FormatError(
                         f"format id collision between {existing!r} and {fmt!r}"

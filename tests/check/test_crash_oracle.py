@@ -33,6 +33,14 @@ class TestScenarios:
         )
         assert findings == [], [f.detail for f in findings]
 
+    def test_batched_publishes_ride_through_the_crash_cleanly(self):
+        for scenario in ("kill", "partition"):
+            findings = check_crash_chaos(
+                net_seed=12345, loss_rate=0.05, jitter=0.005, messages=6,
+                scenario=scenario, batch=4,
+            )
+            assert findings == [], [f.detail for f in findings]
+
     def test_unknown_scenario_is_rejected(self):
         with pytest.raises(ReproError):
             check_crash_chaos(0, 0.0, 0.0, 4, scenario="meteor")

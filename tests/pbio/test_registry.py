@@ -37,6 +37,23 @@ class TestRegistration:
         reg.register(fmt("A", "1.0"))  # structurally identical
         assert len(reg) == 1
 
+    def test_equal_distinct_object_reregisters_to_the_first_entry(self):
+        reg = FormatRegistry()
+        twin = fmt("A", "1.0")
+        assert twin is not A1 and twin == A1
+        assert reg.register(A1) == reg.register(twin) == A1.format_id
+        assert reg.register(A1) == A1.format_id
+        assert reg.lookup_id(A1.format_id) is A1
+        assert reg.lookup_name("A") == [A1]
+
+    def test_colliding_fingerprint_still_raises(self):
+        reg = FormatRegistry()
+        reg.register(A1)
+        impostor = fmt("A", "9.0", extra=3)
+        impostor._format_id = A1.format_id  # force a fingerprint collision
+        with pytest.raises(FormatError, match="collision"):
+            reg.register(impostor)
+
     def test_lookup_by_name_returns_all_revisions(self):
         reg = FormatRegistry()
         for f in (A1, A2, B1):
