@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
@@ -202,6 +202,123 @@ def evolved_format_pair(
         reader_fields.append(IOField("g_pad", TypeKind.INTEGER, 4))
     reader = IOFormat(name, reader_fields, version="1.0")
     return writer, reader
+
+
+# ---------------------------------------------------------------------------
+# Array-copy transform chains (the fusion oracle's "array_chain" scenario)
+# ---------------------------------------------------------------------------
+
+#: element kinds of the chain formats' scalar variable arrays
+_ARRAY_KINDS = [(TypeKind.INTEGER, 4), (TypeKind.FLOAT, 8), (TypeKind.STRING, 0)]
+
+#: loop bound offsets of a copy loop: under-fill, exact, over-read
+_COUNT_OFFSETS = [" - 1", "", " + 1"]
+
+#: stores of a whole output array or record, over the hop's field
+#: suffixes ``{o}`` (output) and ``{i}`` (input): fusion must refuse these
+_WHOLE_STORES = [
+    "old.vs{o} = new.vs{i};",
+    "old.xs{o} = new.xs{i};",
+    "old.xs{o}[0] = new.xs{i}[0];",
+]
+
+
+def _chain_format(
+    version: int,
+    nested: Optional[Tuple[TypeKind, int]],
+    values: Tuple[TypeKind, int],
+    fixed: Optional[int],
+) -> IOFormat:
+    """One version of the chain format.  Top-level field names carry the
+    version, so no two versions match directly and the receiver has to
+    take the transform chain."""
+    elem = [IOField("id", TypeKind.INTEGER, 4)]
+    if nested is not None:
+        elem += [
+            IOField("c", TypeKind.INTEGER, 4),
+            IOField("zs", *nested, array=ArraySpec(length_field="c")),
+        ]
+    fields = [
+        IOField(f"n{version}", TypeKind.INTEGER, 4),
+        IOField(
+            f"xs{version}", TypeKind.COMPLEX,
+            subformat=IOFormat("ChainElem", elem, version=f"{version}.0"),
+            array=ArraySpec(length_field=f"n{version}"),
+        ),
+        IOField(f"m{version}", TypeKind.INTEGER, 4),
+        IOField(f"vs{version}", *values,
+                array=ArraySpec(length_field=f"m{version}")),
+    ]
+    if fixed is not None:
+        fields.append(IOField(f"fx{version}", TypeKind.INTEGER, 4,
+                              array=ArraySpec(fixed_length=fixed)))
+    return IOFormat("Chain", fields, version=f"{version}.0")
+
+
+def _copy_hop(
+    rng: random.Random, src: int, dst: int, nested: bool,
+    fixed: Optional[int],
+) -> Tuple[str, bool]:
+    """The ECode of hop ``src -> dst``: copy loops over both arrays
+    (nested ones included), each bound drawn from :data:`_COUNT_OFFSETS`,
+    a count field that may claim more elements than were written, and
+    with some probability a whole-value store.  Returns ``(code,
+    whole_store)``."""
+    def bound(count: str) -> str:
+        return count + rng.choices(_COUNT_OFFSETS, weights=(1, 6, 1))[0]
+
+    count_excess = rng.choices(["", " + 1", " + 2"], weights=(6, 1, 1))[0]
+    lines = [
+        "int i;",
+        "int j;",
+        f"old.n{dst} = new.n{src}{count_excess};",
+        f"for (i = 0; i < {bound(f'new.n{src}')}; i++) {{",
+        rng.choice([
+            f"    old.xs{dst}[i].id = new.xs{src}[i].id;",
+            f"    old.xs{dst}[i].id = old.xs{dst}[i].id + new.xs{src}[i].id;",
+        ]),
+    ]
+    if nested:
+        lines += [
+            f"    old.xs{dst}[i].c = new.xs{src}[i].c;",
+            f"    for (j = 0; j < {bound(f'old.xs{dst}[i].c')}; j++) {{",
+            f"        old.xs{dst}[i].zs[j] = new.xs{src}[i].zs[j];",
+            "    }",
+        ]
+    lines += [
+        "}",
+        f"old.m{dst} = new.m{src};",
+        f"for (i = 0; i < {bound(f'new.m{src}')}; i++) {{",
+        f"    old.vs{dst}[i] = new.vs{src}[i];",
+        "}",
+    ]
+    if fixed is not None:
+        lines.append(f"old.fx{dst}[{rng.randint(0, fixed + 1)}] = new.n{src};")
+    whole = rng.random() < 0.15
+    if whole:
+        store = rng.choice(_WHOLE_STORES).format(o=dst, i=src)
+        lines.insert(rng.choice([3, len(lines)]), store)
+    return "\n".join(lines), whole
+
+
+def array_chain(
+    rng: random.Random,
+) -> Tuple[List[IOFormat], List[str], bool]:
+    """``(formats, codes, whole_store)``: versions 2, 1 and 0 of one
+    format with a complex and a scalar variable array (the complex
+    elements optionally carrying their own nested array, plus an optional
+    fixed array), and the ECode of the two hops ``formats[0] ->
+    formats[1] -> formats[2]``.  *whole_store* says whether either hop
+    stores a whole output array or record."""
+    nested = rng.choice([None, rng.choice(_ARRAY_KINDS)])
+    values = rng.choice(_ARRAY_KINDS)
+    fixed = rng.choice([None, 0, 2])
+    formats = [_chain_format(v, nested, values, fixed) for v in (2, 1, 0)]
+    hops = [
+        _copy_hop(rng, src, src - 1, nested is not None, fixed)
+        for src in (2, 1)
+    ]
+    return formats, [code for code, _ in hops], any(w for _, w in hops)
 
 
 # ---------------------------------------------------------------------------

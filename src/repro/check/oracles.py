@@ -361,6 +361,7 @@ def check_fusion_wires(
     handler_fmt,
     wires: List[bytes],
     entry_base: Optional[Dict[str, Any]] = None,
+    expect_fused: Optional["tuple[IOFormat, bool]"] = None,
 ) -> List[Finding]:
     """The core fusion invariant, shared with corpus replay: every wire
     through a ``use_fusion=True`` receiver and a ``use_fusion=False``
@@ -370,7 +371,10 @@ def check_fusion_wires(
     A third arm sends the same wires as one BATCH1 frame through a
     ``contain_failures=True`` receiver: each message must deliver the
     per-message arm's record, or dead-letter exactly where that arm
-    raised, under the stage its exception class names."""
+    raised, under the stage its exception class names.
+
+    *expect_fused*, ``(wire format, fused)``, also demands that the
+    fusing receiver's route for that wire format is fused (or refused)."""
     fused_rx = MorphReceiver(registry, use_fusion=True)
     staged_rx = MorphReceiver(registry, use_fusion=False)
     fused_out: List[Record] = []
@@ -425,6 +429,12 @@ def check_fusion_wires(
     if fused_rx.stats.snapshot() != staged_rx.stats.snapshot():
         flag(f"stats divergence: fused={fused_rx.stats.snapshot()} "
              f"staged={staged_rx.stats.snapshot()}")
+    if expect_fused is not None:
+        wire_fmt, fused = expect_fused
+        fused_rx.interest_for(wire_fmt)  # plans the route if no wire did
+        if (fused_rx.route_for(wire_fmt).fused is not None) != fused:
+            flag(f"route for {wire_fmt.name} v{wire_fmt.version} should "
+                 f"{'' if fused else 'not '}be fused")
     if wires:
         _check_contained_batch(registry, handler_fmt, wires, per_message, flag)
     return case.findings
@@ -478,18 +488,44 @@ def _check_contained_batch(
              "arm rejected")
 
 
+def array_chain_registry(
+    formats: List[IOFormat], codes: List[str]
+) -> FormatRegistry:
+    """The registry of an ``array_chain`` fusion case: the hops
+    ``formats[k] -> formats[k + 1]`` with ECode ``codes[k]``."""
+    registry = FormatRegistry()
+    for source, target, code in zip(formats, formats[1:], codes):
+        registry.register_transform(
+            TransformSpec(source=source, target=target, code=code)
+        )
+    return registry
+
+
 def check_fusion(rng: random.Random, messages: int = 5) -> List[Finding]:
-    """Generate one evolving-format scenario (an ECho transform chain or
-    a random coercion-only pair), push a mixed valid/mutated wire stream
-    through fused and staged receivers, and demand exact agreement."""
-    if rng.random() < 0.5:
+    """Generate one evolving-format scenario (an ECho transform chain, a
+    random coercion-only pair, or a random two-hop array-copy chain),
+    push a mixed valid/mutated wire stream through fused and staged
+    receivers, and demand exact agreement."""
+    roll = rng.random()
+    expect_fused = None
+    if roll >= 0.6:
+        formats, codes, whole_store = gen.array_chain(rng)
+        wire_fmt, handler_fmt = formats[0], formats[-1]
+        registry = array_chain_registry(formats, codes)
+        expect_fused = (wire_fmt, not whole_store)
+        entry_base: Dict[str, Any] = {
+            "kind": "fusion", "scenario": "array_chain",
+            "formats": [format_to_dict(fmt) for fmt in formats],
+            "codes": codes, "whole_store": whole_store,
+        }
+    elif roll < 0.3:
         reader_version = rng.choice(["0.0", "1.0"])
         handler_fmt = RESPONSE_V0 if reader_version == "0.0" else RESPONSE_V1
         wire_fmt = RESPONSE_V2
         registry = FormatRegistry()
         registry.register_transform(V2_TO_V1_TRANSFORM)
         registry.register_transform(V1_TO_V0_TRANSFORM)
-        entry_base: Dict[str, Any] = {
+        entry_base = {
             "kind": "fusion", "scenario": "echo",
             "reader_version": reader_version,
         }
@@ -511,7 +547,9 @@ def check_fusion(rng: random.Random, messages: int = 5) -> List[Finding]:
         if rng.random() < 0.3:
             _mutation, wire = mutate(wire, rng)
         wires.append(wire)
-    return check_fusion_wires(registry, handler_fmt, wires, entry_base)
+    return check_fusion_wires(
+        registry, handler_fmt, wires, entry_base, expect_fused
+    )
 
 
 

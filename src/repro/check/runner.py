@@ -196,6 +196,14 @@ def _replay_fusion(entry: Dict[str, Any]) -> List[Finding]:
     )
     from repro.pbio.registry import FormatRegistry
 
+    if entry.get("scenario") == "array_chain":
+        formats = [format_from_dict(fmt) for fmt in entry["formats"]]
+        return oracles.check_fusion_wires(
+            oracles.array_chain_registry(formats, entry["codes"]),
+            formats[-1],
+            [bytes.fromhex(h) for h in entry["wires_hex"]],
+            expect_fused=(formats[0], not entry["whole_store"]),
+        )
     registry = FormatRegistry()
     if entry.get("scenario") == "echo":
         registry.register_transform(V2_TO_V1_TRANSFORM)

@@ -72,6 +72,50 @@ def fields_used(program: ast.Program, param: str) -> Optional[Set[str]]:
     return names
 
 
+def access_path(expr: ast.Expr) -> Optional[Tuple[str, str]]:
+    """``(root identifier, field path)`` of an access chain, the path
+    spelled with indices elided: ``old.xs[i].zs[j]`` is
+    ``("old", "xs[].zs[]")`` and a bare identifier has path ``""``.
+    ``None`` when the chain does not bottom out in an identifier."""
+    parts: List[str] = []
+    node = expr
+    while not isinstance(node, ast.Identifier):
+        if isinstance(node, ast.FieldAccess):
+            parts.append(node.name)
+        elif isinstance(node, ast.IndexAccess):
+            parts.append("[]")
+        else:
+            return None
+        node = node.base
+    path = ""
+    for part in reversed(parts):
+        path += part if part == "[]" or not path else "." + part
+    return node.name, path
+
+
+def whole_value_uses(
+    program: ast.Program, param: str, containers: Set[str]
+) -> bool:
+    """True when *param* itself, or an access rooted at it whose path
+    (see :func:`access_path`) is in *containers*, is used other than as
+    the base of a further field or index access: stored into, read into
+    a local or another field, or passed to a call as a whole value."""
+    bases = {
+        id(node.base)
+        for node in ast.walk(program)
+        if isinstance(node, (ast.FieldAccess, ast.IndexAccess))
+    }
+    for node in ast.walk(program):
+        if id(node) in bases:
+            continue
+        found = access_path(node)
+        if found is not None and found[0] == param and (
+            not found[1] or found[1] in containers
+        ):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Dead-store elimination
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.ecode import ast
+from repro.ecode.analyze import access_path
 from repro.ecode.parser import parse
 from repro.ecode.runtime import BUILTINS, c_div, c_mod, default_for_type, sizeof
 from repro.ecode.typecheck import check
@@ -45,13 +46,20 @@ class _PyEmitter:
 
 
 class _CodeGenerator:
-    def __init__(self, rename: Optional[Dict[str, str]] = None) -> None:
+    def __init__(
+        self,
+        rename: Optional[Dict[str, str]] = None,
+        outputs: Optional[Dict[str, Dict[str, str]]] = None,
+    ) -> None:
         self.em = _PyEmitter()
         #: identifier substitution applied to every name the program
         #: mentions (parameters *and* locals) — the route fuser maps
         #: ``new``/``old`` to its own record variables and prefixes locals
         #: so consecutive inlined steps cannot collide.
         self.rename = rename or {}
+        #: output record parameter -> {array path: element factory name}
+        #: (see :func:`generate_inline`)
+        self.outputs = outputs or {}
         #: stack of per-loop "before continue" emitters: a for-loop re-runs
         #: its update clause, a do-while re-tests its condition, a while
         #: loop needs nothing.
@@ -202,11 +210,15 @@ class _CodeGenerator:
     def _gen_statement_expr(self, expr: ast.Expr) -> None:
         if isinstance(expr, ast.Assignment):
             # flatten plain '=' chains:  a = b = 0
-            targets = [self.gen_expr(expr.target)]
+            target_nodes = [expr.target]
             value = expr.value
             while isinstance(value, ast.Assignment):
-                targets.append(self.gen_expr(value.target))
+                target_nodes.append(value.target)
                 value = value.value
+            if expr.op == "=" and any(map(self._output_field, target_nodes)):
+                self._gen_output_stores(target_nodes, value)
+                return
+            targets = [self.gen_expr(target) for target in target_nodes]
             rhs = self.gen_expr(value)
             if expr.op == "=":
                 self.em.emit(" = ".join(targets + [rhs]))
@@ -223,6 +235,38 @@ class _CodeGenerator:
             self.em.emit(f"{target} {'+=' if expr.op == '++' else '-='} 1")
         else:
             self.em.emit(f"{self.gen_expr(expr)}")
+
+    def _output_field(self, target: ast.Expr) -> bool:
+        """Is *target* a field of a record rooted at an output parameter?"""
+        found = access_path(target)
+        return (
+            isinstance(target, ast.FieldAccess)
+            and found is not None
+            and found[0] in self.outputs
+        )
+
+    def _gen_output_stores(
+        self, targets: List[ast.Expr], value: ast.Expr
+    ) -> None:
+        """A plain ``=`` (chain) storing into output record fields, with
+        ``Record.__setitem__`` inlined: ``dict.__setitem__`` for a scalar
+        value, the converting store otherwise.  As in Python's own
+        assignment, the value is evaluated first and the targets left to
+        right."""
+        self.em.emit(f"_t = {self.gen_expr(value)}")
+        for target in targets:
+            if not self._output_field(target):
+                self.em.emit(f"{self.gen_expr(target)} = _t")
+                continue
+            assert isinstance(target, ast.FieldAccess)
+            base, key = self.gen_expr(target.base), repr(target.name)
+            if not isinstance(target.base, ast.Identifier):
+                self.em.emit(f"_o = {base}")
+                base = "_o"
+            self.em.emit(
+                f"if _t.__class__ in _SCALARS: _dset({base}, {key}, _t)"
+            )
+            self.em.emit(f"else: {base}[{key}] = _t")
 
     # ------------------------------------------------------------------
     # Expressions
@@ -242,7 +286,18 @@ class _CodeGenerator:
         if isinstance(expr, ast.FieldAccess):
             return f"{self.gen_expr(expr.base)}[{expr.name!r}]"
         if isinstance(expr, ast.IndexAccess):
-            return f"{self.gen_expr(expr.base)}[{self.gen_expr(expr.index)}]"
+            base, index = self.gen_expr(expr.base), self.gen_expr(expr.index)
+            found = access_path(expr.base)
+            factory = found and self.outputs.get(found[0], {}).get(found[1])
+            if not factory:
+                return f"{base}[{index}]"
+            # AutoList semantics on a plain list: grow on an int index
+            # past the end, read or write; in range, no call at all
+            arr, k = self.em.fresh("a"), self.em.fresh("k")
+            return (
+                f"({arr} if len({arr} := {base}) > ({k} := {index}) "
+                f"else _grow({arr}, {k}, {factory}))[{k}]"
+            )
         if isinstance(expr, ast.UnaryOp):
             operand = self.gen_expr(expr.operand)
             if expr.op == "!":
@@ -295,6 +350,7 @@ def generate_inline(
     program: ast.Program,
     rename: Optional[Dict[str, str]] = None,
     indent: int = 1,
+    outputs: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> List[str]:
     """Translate a checked program into indented statement lines suitable
     for splicing into a larger generated function (whole-route fusion).
@@ -302,8 +358,20 @@ def generate_inline(
     *rename* substitutes identifiers wholesale — parameters to the
     caller's record variables, locals to collision-free prefixed names.
     The caller is responsible for ensuring the program has no ``return``
-    (see :func:`repro.ecode.analyze.has_return`)."""
-    gen = _CodeGenerator(rename=rename)
+    (see :func:`repro.ecode.analyze.has_return`).
+
+    *outputs* maps each output record parameter (by its name in the
+    program) to ``{array path: element factory name}``, paths spelled as
+    :func:`repro.ecode.analyze.access_path` does.  Output records are
+    then plain ``Record``/``list`` values: every index access on one of
+    those array paths grows the list inline (``_grow``, see
+    :func:`repro.ecode.runtime.grow`), and plain ``=`` stores into output
+    fields go through ``_dset`` (``dict.__setitem__``) when the value is
+    in ``_SCALARS``.  The caller binds those names, and the factories,
+    in the namespace it compiles the lines in, and must refuse programs
+    that use an output array or record as a whole value (see
+    :func:`repro.ecode.analyze.whole_value_uses`)."""
+    gen = _CodeGenerator(rename=rename, outputs=outputs)
     gen.em.indent = indent
     for stmt in program.body:
         gen.gen_stmt(stmt)

@@ -46,6 +46,17 @@ class AutoList(list):
         list.__setitem__(self, index, value)
 
 
+def grow(items: List[Any], index: Any, factory: Callable[[], Any]) -> List[Any]:
+    """:class:`AutoList` growth for a plain list: extend *items* with
+    *factory* elements until *index* is in range (only for an int
+    *index*, like ``AutoList``), and return *items*.  Fused routes call
+    it from an inline ``len`` check, so in-range accesses cost no call."""
+    if isinstance(index, int):
+        while len(items) <= index:
+            items.append(factory())
+    return items
+
+
 def c_div(a: Any, b: Any) -> Any:
     """C division: truncation toward zero for two ints, float division
     otherwise.  Integer division by zero raises

@@ -12,8 +12,12 @@ function and compiled once.
 What fusion buys over the staged path:
 
 * no per-step dispatch — the chain is straight-line code,
-* intermediate records are neither frozen nor re-frozen between hops
-  (only the final record is), and no per-step obs/error plumbing runs,
+* output records are built the way the decoder builds input records:
+  plain ``Record``/``list`` values from the hop's target format, with
+  ``AutoList`` growth inlined as a ``len`` check on each output array
+  index and ``Record.__setitem__`` inlined into each output field store
+  — no ``AutoList`` and no freeze walk, and no per-step obs/error
+  plumbing runs,
 * **dead-field elimination**: a backward liveness pass over the chain
   (:func:`repro.ecode.analyze.fields_used`) determines which top-level
   wire fields anything downstream actually reads, dead stores inside
@@ -25,9 +29,10 @@ What fusion buys over the staged path:
 The staged path remains both the ablation baseline and the runtime
 fallback: :func:`plan_fusion` returns ``None`` whenever a route uses a
 feature fusion does not support (interpreter procedures, ``return``
-inside a transform, output validation, parameter shadowing), and a
-compile failure downgrades the route to staged execution instead of
-failing the receiver.  Error *classes* and counter effects match the
+inside a transform, output validation, parameter shadowing, an output
+array or record used as a whole value), and a compile failure
+downgrades the route to staged execution instead of failing the
+receiver.  Error *classes* and counter effects match the
 staged path exactly — the ``fusion`` differential oracle in
 :mod:`repro.check` holds the two paths to that contract.
 """
@@ -38,17 +43,22 @@ import struct
 import threading
 import time
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.ecode import analyze
 from repro.ecode.codegen import generate_inline
-from repro.ecode.runtime import BUILTINS, c_div, c_mod
+from repro.ecode.runtime import BUILTINS, c_div, c_mod, grow
 from repro.errors import DecodeError, ECodeError, TransformError
 from repro.morph.compat import _coerce_field
-from repro.morph.transform import Transformation, _freeze, _record_factory
+from repro.morph.transform import (
+    Transformation,
+    _element_factory,
+    _record_factory,
+)
 from repro.pbio.codegen import _Emitter, _gen_decode_format, _StructTable
+from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
-from repro.pbio.record import Record, trusted_record
+from repro.pbio.record import _SCALAR_TYPES, Record, trusted_record
 
 
 _ECODE_ESCAPES = (KeyError, IndexError, TypeError, AttributeError, ValueError)
@@ -163,8 +173,10 @@ class FusedRoute:
             "_DecodeError": DecodeError,
             "_struct_error": struct.error,
             "_ECodeError": ECodeError,
-            "_frz": _freeze,
             "_Record": Record,
+            "_grow": grow,
+            "_dset": dict.__setitem__,
+            "_SCALARS": _SCALAR_TYPES,
             "_cdiv": c_div,
             "_cmod": c_mod,
         }
@@ -227,13 +239,11 @@ class FusedRoute:
             result = self._emit_steps(
                 em, namespace, chain_steps, "_chain_fail",
                 _make_fail("chain", self.label),
-                freeze=not coercion_steps,
             )
         if coercion_steps:
             result = self._emit_steps(
                 em, namespace, coercion_steps, "_coerce_fail",
                 _make_fail("coercion", self.label),
-                freeze=True,
             )
 
         # -- structural reconcile (total: no try region needed) --------
@@ -252,11 +262,13 @@ class FusedRoute:
         steps: List[Tuple[int, Transformation, "analyze.ast.Program"]],
         fail_name: str,
         fail: Callable[[BaseException], None],
-        freeze: bool,
     ) -> str:
         """Inline a run of transform steps inside one try region whose
         failures all map to *fail* (chain vs coercion stage — the
-        receiver's counters distinguish the two, like the staged path)."""
+        receiver's counters distinguish the two, like the staged path).
+        Each step's output record starts as a plain default record of its
+        target format; its array paths grow through element factories
+        resolved here, once."""
         namespace[fail_name] = fail
         last = steps[-1][0]
         em.emit("try:")
@@ -264,17 +276,19 @@ class FusedRoute:
         for k, step, program in steps:
             out = f"_r{k + 1}"
             factory = f"_gr{k}"
-            namespace[factory] = _record_factory(step.target)
+            namespace[factory] = _record_factory(step.target, growable=False)
+            arrays: Dict[str, str] = {}
+            for path, field in _value_paths(step.target):
+                if field is not None:
+                    arrays[path] = name = f"_ef{k}_{len(arrays)}"
+                    namespace[name] = _element_factory(field, growable=False)
             em.emit(f"{out} = {factory}()")
             rename = {"new": f"_r{k}", "old": out}
             for local in analyze.declared_names(program):
                 rename[local] = f"_s{k}_{local}"
-            em.lines.extend(generate_inline(program, rename, indent=em.indent))
-        if freeze:
-            # only the record leaving the fused pipeline is frozen; the
-            # intermediates die here and skip the staged path's per-hop
-            # freeze walk entirely
-            em.emit(f"_frz(_r{last + 1})")
+            em.lines.extend(generate_inline(
+                program, rename, indent=em.indent, outputs={"old": arrays},
+            ))
         em.indent -= 1
         em.emit("except _ECodeError as exc:")
         em.indent += 1
@@ -323,6 +337,46 @@ class FusedRoute:
 # ---------------------------------------------------------------------------
 
 
+def _value_paths(
+    fmt: IOFormat, prefix: str = ""
+) -> Iterator[Tuple[str, Optional[IOField]]]:
+    """Every array and record value inside a record of *fmt*, as
+    ``(path, field)`` with paths spelled like
+    :func:`repro.ecode.analyze.access_path`: an array at its field's path
+    with that field, a record (complex field or complex array element)
+    with ``None``."""
+    for field in fmt.fields:
+        path = f"{prefix}.{field.name}" if prefix else field.name
+        if field.is_array:
+            yield path, field
+            path += "[]"
+        if field.is_complex:
+            assert field.subformat is not None
+            yield path, None
+            yield from _value_paths(field.subformat, path)
+
+
+def _refusal(step: Transformation) -> Optional[str]:
+    """Why *step* cannot be inlined into a fused route, or ``None``."""
+    program = getattr(step.procedure, "program", None)
+    if program is None or not step.use_codegen:
+        return "interpreter"  # the interpreter is the ablation arm
+    if step.validate_output:
+        return "validate"
+    if analyze.has_return(program):
+        return "return"
+    if {"new", "old"} & analyze.declared_names(program):
+        return "shadowed"  # shadowed parameters defeat the rename map
+    # a whole output array or record escapes inline growth: stored into,
+    # it would be a plain list the staged AutoList path cannot grow (or
+    # an input value it would not copy); read, it would be handed on
+    if analyze.whole_value_uses(
+        program, "old", {path for path, _f in _value_paths(step.target)}
+    ):
+        return "whole-value"
+    return None
+
+
 def plan_fusion(route: Any) -> Optional[FusedRoute]:
     """Build the fusion plan for a freshly planned ``_Route``, or ``None``
     when the route must stay staged.
@@ -344,15 +398,15 @@ def plan_fusion(route: Any) -> Optional[FusedRoute]:
     if not transforms and walker_coercion is None:
         return None  # plain decode + dispatch: nothing to fuse
     for step, _stage in transforms:
-        program = getattr(step.procedure, "program", None)
-        if program is None:  # interpreter procedure: no AST-to-inline
+        reason = _refusal(step)
+        if reason is not None:
+            from repro.obs import OBS
+
+            if OBS.enabled:
+                OBS.metrics.bounded_counter(
+                    "morph.fusion.refusals", reason=reason
+                ).inc()
             return None
-        if step.validate_output:
-            return None
-        if analyze.has_return(program):
-            return None
-        if {"new", "old"} & analyze.declared_names(program):
-            return None  # shadowed parameters defeat the rename map
 
     # backward liveness: what does each stage's consumer actually read?
     if walker_coercion is not None:

@@ -446,6 +446,7 @@ class MorphReceiver:
         observing = OBS.enabled
         contain = self.contain_failures or retrying
         quarantined = self._quarantined
+        failure_counts = self._failure_counts
         frame = _Frame()
         results: List[Any] = []
         try:
@@ -476,6 +477,9 @@ class MorphReceiver:
                             result = self._pipeline(seg, header, frame, True)
                     else:
                         result = self._pipeline(seg, header, frame, False)
+                    if failure_counts:
+                        # quarantine counts *consecutive* failures
+                        failure_counts.pop(format_id, None)
                 except Exception as exc:  # noqa: BLE001 - defined containment
                     if not contain:
                         raise

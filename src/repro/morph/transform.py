@@ -27,7 +27,7 @@ from repro.pbio.record import Record
 from repro.pbio.registry import TransformSpec
 
 
-_record_factories: "dict[int, Callable[[], Record]]" = {}
+_record_factories: "dict[tuple, Callable[[], Record]]" = {}
 
 #: Bound on the factory memo: long-running servers with churning formats
 #: (``FormatRegistry.unregister`` + re-register) must not accumulate one
@@ -47,8 +47,12 @@ def growable_record(fmt: IOFormat) -> Record:
     return _record_factory(fmt)()
 
 
-def _record_factory(fmt: IOFormat) -> Callable[[], Record]:
-    factory = _record_factories.get(fmt.format_id)
+def _record_factory(fmt: IOFormat, growable: bool = True) -> Callable[[], Record]:
+    """The memoized default-record factory of *fmt*: arrays are
+    :class:`AutoList` when *growable*, plain lists otherwise (fused
+    routes grow those inline, see :func:`repro.ecode.runtime.grow`)."""
+    key = (fmt.format_id, growable)
+    factory = _record_factories.get(key)
     if factory is None:
         while len(_record_factories) >= RECORD_FACTORY_CACHE_MAX:
             _record_factories.pop(next(iter(_record_factories)))
@@ -61,14 +65,14 @@ def _record_factory(fmt: IOFormat) -> Callable[[], Record]:
                 return rec
 
         else:
-            builders = [(f.name, _field_builder(f)) for f in fmt.fields]
+            builders = [(f.name, _field_builder(f, growable)) for f in fmt.fields]
 
             def factory() -> Record:
                 rec = Record.__new__(Record)
                 dict.update(rec, {name: build() for name, build in builders})
                 return rec
 
-        _record_factories[fmt.format_id] = factory
+        _record_factories[key] = factory
         from repro.obs import OBS
 
         if OBS.enabled:
@@ -78,12 +82,16 @@ def _record_factory(fmt: IOFormat) -> Callable[[], Record]:
     return factory
 
 
-def _field_builder(field: IOField) -> Callable[[], Any]:
+def _field_builder(field: IOField, growable: bool) -> Callable[[], Any]:
     if field.is_array:
-        element_factory = _element_factory(field)
+        element_factory = _element_factory(field, growable)
         spec = field.array
         assert spec is not None
         fixed = spec.fixed_length
+        if not growable:
+            if fixed is None:
+                return list
+            return lambda: [element_factory() for _ in range(fixed)]
         if fixed is not None:
             return lambda: AutoList(
                 element_factory, [element_factory() for _ in range(fixed)]
@@ -91,22 +99,22 @@ def _field_builder(field: IOField) -> Callable[[], Any]:
         return lambda: AutoList(element_factory)
     if field.is_complex:
         assert field.subformat is not None
-        return _record_factory(field.subformat)
+        return _record_factory(field.subformat, growable)
     value = field.default_instance()  # scalars are immutable: share one
     return lambda: value
 
 
-def _element_factory(field: IOField) -> Callable[[], Any]:
+def _element_factory(field: IOField, growable: bool = True) -> Callable[[], Any]:
     if field.is_complex:
         assert field.subformat is not None
-        return _record_factory(field.subformat)
+        return _record_factory(field.subformat, growable)
     value = field.element_default()  # scalar: immutable, share one
     return lambda: value
 
 
 def _freeze(value: Any) -> Any:
-    """Convert AutoLists back to plain lists after a transform ran (the
-    factory closure should not outlive the morph)."""
+    """Convert AutoLists back to plain lists after a staged transform ran
+    (the factory closure should not outlive the morph)."""
     if isinstance(value, Record):
         for key in value:
             dict.__setitem__(value, key, _freeze(value[key]))

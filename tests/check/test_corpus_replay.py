@@ -3,10 +3,11 @@ regression corpus under ``tests/check/corpus/``."""
 
 import json
 import os
+import random
 
 import pytest
 
-from repro.check import oracles
+from repro.check import gen, oracles
 from repro.check.corpus import Corpus, minimize_wire
 from repro.check.runner import replay_corpus, replay_entry
 from repro.errors import ReproError
@@ -163,3 +164,38 @@ class TestScenarioReplay:
         assert summary["still_failing"] == 1
         with pytest.raises(ReproError):
             replay_entry({"kind": "meteor"})
+
+
+class TestArrayChainReplay:
+    """The fusion oracle's array_chain cases replay from the formats and
+    ECode their corpus entry carries."""
+
+    @staticmethod
+    def persisted_entry(monkeypatch, whole_store):
+        def array_chain_case(seed):
+            rng = random.Random(seed)
+            return rng.random() >= 0.6 and gen.array_chain(rng)[2] == whole_store
+
+        seed = next(s for s in range(1000) if array_chain_case(s))
+
+        def forced(registry, handler_fmt, wires, per_message, flag):
+            flag("forced finding")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "_check_contained_batch", forced)
+            findings = oracles.check_fusion(random.Random(seed))
+        assert [f.detail for f in findings] == ["forced finding"]
+        return json.loads(json.dumps(findings[0].entry))
+
+    @pytest.mark.parametrize("whole_store", [False, True])
+    def test_entry_replays_clean(self, monkeypatch, whole_store):
+        entry = self.persisted_entry(monkeypatch, whole_store)
+        assert entry["scenario"] == "array_chain"
+        assert entry["whole_store"] is whole_store
+        assert replay_entry(entry) == []
+
+    def test_replay_checks_whether_the_route_is_fused(self, monkeypatch):
+        entry = self.persisted_entry(monkeypatch, False)
+        entry["whole_store"] = True
+        (finding,) = replay_entry(entry)
+        assert "should not be fused" in finding.detail

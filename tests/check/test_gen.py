@@ -28,6 +28,11 @@ class TestDeterminism:
             random.Random(3)
         )
 
+    def test_same_seed_same_array_chain(self):
+        assert gen.array_chain(random.Random(4)) == gen.array_chain(
+            random.Random(4)
+        )
+
 
 class TestValidity:
     def test_generated_records_validate_and_roundtrip(self):
@@ -103,3 +108,28 @@ class TestCoverage:
         assert strategies._SIGNED_BOUNDS is gen.SIGNED_BOUNDS
         assert strategies._UNSIGNED_BOUNDS is gen.UNSIGNED_BOUNDS
         assert TypeKind.COMPLEX not in gen.SCALAR_KINDS
+
+
+class TestArrayChain:
+    def test_chains_compile_and_cover_every_shape(self):
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(60):
+            formats, codes, whole_store = gen.array_chain(rng)
+            assert [f.version for f in formats] == ["2.0", "1.0", "0.0"]
+            for code in codes:
+                compile_procedure(code)
+            elem = formats[0].get_field("xs2").subformat
+            seen.add(("nested", elem.get_field("zs") is not None))
+            seen.add(("fixed", formats[0].get_field("fx2") is not None))
+            seen.add(("whole_store", whole_store))
+            for offset in (" - 1;", " + 1;"):
+                seen.add(("offset", offset, any(offset in c for c in codes)))
+            rec = gen.random_record(rng, formats[0])
+            formats[0].validate_record(rec)
+        assert seen >= {
+            (kind, value) for kind in ("nested", "fixed", "whole_store")
+            for value in (True, False)
+        }
+        assert ("offset", " - 1;", True) in seen
+        assert ("offset", " + 1;", True) in seen

@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.morph.receiver import MorphReceiver
+from repro.pbio.buffer import unpack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
@@ -147,6 +148,69 @@ class TestQuarantine:
         assert receiver.is_quarantined(EVT.format_id)
         receiver.process(sender.encode(OTHER, {"s": "b"}))
         assert seen == ["a", "b"]
+
+    @staticmethod
+    def _interleaving_receiver():
+        """A receiver handling OTHER and EVT (negative ``n`` makes the
+        EVT handler raise), and a wire maker for good or corrupt OTHER
+        messages (a string length past the payload)."""
+        sender, receiver = make_receiver(quarantine_threshold=3)
+        seen = []
+        receiver.register_handler(OTHER, lambda record: seen.append(record.s))
+
+        def on_evt(record):
+            if record.n < 0:
+                raise ValueError("negative")
+            seen.append(record.n)
+
+        receiver.register_handler(EVT, on_evt)
+
+        def other(s, corrupt=False):
+            wire = sender.encode(OTHER, {"s": s})
+            if not corrupt:
+                return wire
+            body = unpack_header(wire).body_offset
+            return wire[:body] + b"\xff\xff\xff\x00" + wire[body + 4:]
+
+        return sender, receiver, seen, other
+
+    def test_a_success_resets_the_consecutive_failure_count(self):
+        _sender, receiver, seen, other = self._interleaving_receiver()
+        for i in range(3):
+            receiver.process(other("bad", corrupt=True))
+            receiver.process(other(f"good{i}"))
+        assert seen == ["good0", "good1", "good2"]
+        assert not receiver.is_quarantined(OTHER.format_id)
+        assert receiver.containment["dead_lettered"] == 3
+        assert receiver.containment["quarantine_drops"] == 0
+
+    def test_three_consecutive_failures_still_quarantine(self):
+        _sender, receiver, seen, other = self._interleaving_receiver()
+        receiver.process(other("first"))
+        for _ in range(3):
+            receiver.process(other("bad", corrupt=True))
+        assert receiver.is_quarantined(OTHER.format_id)
+        receiver.process(other("late"))
+        assert seen == ["first"]
+        assert receiver.containment["quarantine_drops"] == 1
+
+    def test_failure_counts_are_per_format_id(self):
+        sender, receiver, seen, other = self._interleaving_receiver()
+        # EVT successes between OTHER failures do not reset OTHER's count
+        for n in range(3):
+            receiver.process(other("bad", corrupt=True))
+            receiver.process(sender.encode(EVT, {"n": n}))
+        assert receiver.is_quarantined(OTHER.format_id)
+        assert not receiver.is_quarantined(EVT.format_id)
+        # ...and an OTHER success does not reset EVT's
+        receiver.lift_quarantine(OTHER.format_id)
+        for _ in range(2):
+            receiver.process(sender.encode(EVT, {"n": -1}))
+            receiver.process(other("good"))
+        receiver.process(sender.encode(EVT, {"n": -1}))
+        assert receiver.is_quarantined(EVT.format_id)
+        assert not receiver.is_quarantined(OTHER.format_id)
+        assert seen == [0, 1, 2, "good", "good"]
 
     def test_lift_quarantine_resets_the_failure_count(self):
         _sender, receiver = make_receiver(quarantine_threshold=2)
